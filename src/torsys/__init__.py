@@ -69,6 +69,7 @@ from .classify import (
     ConstructibilityWitness,
     DeaugmentationStep,
     FullnessCertificate,
+    InvalidWitness,
     NotExceptionalInput,
     OrbitReport,
     TwistApplication,

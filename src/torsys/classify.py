@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .cohomology import InternalInconsistency
 from .isometry import RankOutOfRange, orbit, weyl_group
 from .surface import DivisorClass, FanAutomorphism, ToricSurface
 from .systems import (
@@ -32,6 +33,10 @@ from .twist import NotALineBundle, TwistByCurve, minus_two_rays, twist_cases, tw
 
 class NotExceptionalInput(ValueError):
     """The operation is only defined for exceptional systems / sequences."""
+
+
+class InvalidWitness(ValueError):
+    """A constructibility witness does not replay to what it claims."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,10 @@ class ConstructibilityWitness:
         system = self.base_system
         for step in reversed(self.steps):
             system = _augment_at_ray(system, step.ray, step.position)
-            assert system.surface.selfints == step.surface.selfints
+            if system.surface.selfints != step.surface.selfints:
+                raise InvalidWitness(
+                    f"step lands on {system.surface}, but records {step.surface}"
+                )
         return system
 
 
@@ -123,8 +131,11 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
     if x.n == 4:
         label = classify_hirzebruch(system)
         exceptional = label.is_exceptional_class()
-        # the label rule must agree with the cohomological test
-        assert exceptional == is_exceptional(system)
+        if exceptional != is_exceptional(system):
+            raise InternalInconsistency(
+                f"Hirzebruch label {label.kind}_({label.r},{label.i}) disagrees "
+                "with the cohomological exceptionality test"
+            )
         if exceptional:
             return ConstructibilityWitness(system, label, ())
         return None
@@ -146,7 +157,7 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
             except NotDeaugmentable:
                 continue
             if not is_exceptional(sub):
-                raise AssertionError(
+                raise InternalInconsistency(
                     "de-augmentation of an exceptional system went non-exceptional"
                 )
             sub_witness = _search(sub, memo)
@@ -207,7 +218,10 @@ def certify_full(
                 seen.add(key)
                 application = TwistApplication(ray, twist_cases(t, current))
                 twisted_system = from_sequence(twisted)
-                assert is_exceptional(twisted_system)
+                if not is_exceptional(twisted_system):
+                    raise InternalInconsistency(
+                        "a twist of an exceptional sequence went non-exceptional"
+                    )
                 witness = _search(twisted_system, memo)
                 if witness is not None:
                     return FullnessCertificate(

@@ -51,27 +51,39 @@ def _load_json_arg(text: str):
         return json.load(fh)
 
 
+def _int_list(data, what: str) -> list[int]:
+    """A JSON array of integers; floats, bools and strings are rejected
+    rather than coerced."""
+    if not isinstance(data, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in data
+    ):
+        raise ValueError(f"{what} must be an array of integers, got {data!r}")
+    return data
+
+
 def _surface_from_json(data) -> ToricSurface:
     if isinstance(data, dict):
         data = data["selfints"]
-    return from_selfints(data)
+    return from_selfints(_int_list(data, "surface"))
 
 
 def _class_from_json(x: ToricSurface, data) -> DivisorClass:
     if isinstance(data, dict):
         data = data["coeffs"]
-    return x.divisor_class(data)
+    return x.divisor_class(_int_list(data, "class"))
+
+
+def _entries_from_json(data) -> tuple[ToricSurface, list[DivisorClass]]:
+    x = _surface_from_json(data["surface"])
+    return x, [x.divisor_class(_int_list(c, "entry")) for c in data["entries"]]
 
 
 def _system_from_json(data) -> ToricSystem:
-    x = _surface_from_json(data["surface"])
-    entries = [x.divisor_class(c) for c in data["entries"]]
-    return ToricSystem.validate(x, entries)
+    return ToricSystem.validate(*_entries_from_json(data))
 
 
 def _sequence_from_json(data) -> LineBundleSequence:
-    x = _surface_from_json(data["surface"])
-    return LineBundleSequence.of([x.divisor_class(c) for c in data["entries"]])
+    return LineBundleSequence.of(_entries_from_json(data)[1])
 
 
 def surface_to_json(x: ToricSurface) -> dict:
@@ -223,9 +235,9 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_check_system(args) -> int:
-    data = _load_json_arg(args.system)
+    x, entries = _entries_from_json(_load_json_arg(args.system))
     try:
-        _system_from_json(data)
+        ToricSystem.validate(x, entries)
         _print({"valid": True}, "valid toric system", args.format)
         return 0
     except ValueError as exc:
@@ -241,14 +253,15 @@ def _cmd_check_exceptional(args) -> int:
 
 
 def _cmd_check_constructible(args) -> int:
-    from .classify import is_constructible
+    from .classify import InvalidWitness, is_constructible
 
     system = _system_from_json(_load_json_arg(args.system))
     witness = is_constructible(system)
     if witness is None:
         _print({"constructible": False}, "constructible: False", args.format)
         return 1
-    assert witness.replay() == system
+    if witness.replay() != system:
+        raise InvalidWitness("the witness does not replay to the input system")
     payload = {"constructible": True, "witness": witness_to_json(witness)}
     steps = " -> ".join(
         f"TV{st.surface.selfints} contract ray {st.ray} (entry {st.position})"
@@ -345,6 +358,19 @@ def _cmd_reproduce_paper(args) -> int:
 # ----------------------------------------------------------------------- main
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (argparse exits with code 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsys",
@@ -358,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for randomized subcommands (reserved; current subcommands are deterministic)",
     )
     parser.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_int_at_least(1), default=None,
         help="worker threads for orbit scans (affects wall time only, never results)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -387,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-full", help="certify fullness of a bundle sequence")
     p.add_argument("--sequence", required=True, help='JSON {"surface":..., "entries": [[...]]} or a path')
-    p.add_argument("--max-depth", type=int, default=3, help="twist search depth")
+    p.add_argument("--max-depth", type=_int_at_least(0), default=3, help="twist search depth")
     p.set_defaults(func=_cmd_certify_full)
 
     p = sub.add_parser("orbit-report", help="classify the Weyl orbit of the standard system")

@@ -25,7 +25,8 @@ Character = tuple[int, int]
 
 
 class InternalInconsistency(RuntimeError):
-    """The fast-path dimensions came out negative: an implementation bug."""
+    """Two computations that must agree did not (for example, the fast-path
+    dimensions came out negative): an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,12 @@ def cohomology_dims(d: DivisorClass) -> CohomologyDims:
 
 def vanishes_totally(d: DivisorClass) -> bool:
     """True when all cohomology of O(D) vanishes."""
-    return cohomology_dims(d).is_zero()
+    return _vanishes_cached(d.surface.selfints, d.reduced())
+
+
+@functools.lru_cache(maxsize=200_000)
+def _vanishes_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> bool:
+    return cohomology_dims(from_selfints(selfints).divisor_class(coeffs)).is_zero()
 
 
 def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> CohomologyDims:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
@@ -33,7 +34,8 @@ class Root:
     cls: DivisorClass
 
     def __post_init__(self):
-        assert self.cls.square() == -2 and self.cls.k_degree() == 0
+        if self.cls.square() != -2 or self.cls.k_degree() != 0:
+            raise ValueError(f"{self.cls} is not a (-2)-class orthogonal to K")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +55,8 @@ class Isometry:
         k = self.surface.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
-        assert abs(_intlinalg.det(m)) == 1
+        if abs(_intlinalg.det(m)) != 1:
+            raise ValueError("matrix is not invertible over the integers")
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
         self.surface._require_same(cls.surface)
@@ -166,26 +169,40 @@ def reflection(root: Root) -> Isometry:
 
 def weyl_group(x: ToricSurface, size_cap: int = 10**6) -> tuple[Isometry, ...]:
     """Closure of the root reflections under composition, by breadth-first
-    multiplication with matrix dedup.  Deterministic order."""
+    multiplication with matrix dedup.  Deterministic order.
+
+    The reflection at a root r is the rank-1 map I + r (r^T G) on Pic
+    coordinates (G the Gram matrix), so each product s_r h = h + r (r^T G h)
+    is formed on raw matrix tuples, changing only the rows where r is
+    non-zero.  Products are deduplicated on the raw matrix, and each new
+    element is validated once by the Isometry constructor.
+    """
     if not 3 <= x.pic_rank <= 9:
         raise RankOutOfRange(f"Weyl groups require 3 <= rho <= 9, got {x.pic_rank}")
-    gens = []
-    seen_gen = set()
+    gram = x.gram_matrix()
+    # r and -r give the same reflection; keep the first of each pair, with
+    # r^T G = (G r)^T as G is symmetric
+    gens: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for r in roots(x):
-        s = reflection(r)
-        if s.matrix not in seen_gen:
-            seen_gen.add(s.matrix)
-            gens.append(s)
+        rc = r.cls.coords()
+        gens.setdefault(
+            min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc))
+        )
     ident = identity_isometry(x)
     elements: dict[tuple, Isometry] = {ident.matrix: ident}
-    frontier = [ident]
+    frontier = [ident.matrix]
     while frontier:
-        new: list[Isometry] = []
+        new: list[tuple] = []
         for h in frontier:
-            for g in gens:
-                prod = g * h
-                if prod.matrix not in elements:
-                    elements[prod.matrix] = prod
+            cols = tuple(zip(*h))
+            for rc, rg in gens.values():
+                w = tuple(sum(map(mul, rg, col)) for col in cols)
+                prod = tuple(
+                    row if ri == 0 else tuple(hij + ri * wj for hij, wj in zip(row, w))
+                    for ri, row in zip(rc, h)
+                )
+                if prod not in elements:
+                    elements[prod] = Isometry(x, prod)
                     new.append(prod)
                     if len(elements) > size_cap:
                         raise SizeCapExceeded(f"group exceeded {size_cap} elements")

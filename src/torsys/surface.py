@@ -378,16 +378,22 @@ class DivisorClass:
     Equality and hashing reduce modulo the relation lattice, so different
     coefficient vectors of the same class compare equal.  Arithmetic keeps the
     stored representative; intersection numbers are representative-invariant.
+    The reduced representative is computed once per object, on first use.
     """
 
     surface: ToricSurface
     coeffs: tuple[int, ...]
 
-    def reduced(self) -> tuple[int, ...]:
+    @functools.cached_property
+    def _reduced(self) -> tuple[int, ...]:
         return self.surface.reduce_coeffs(self.coeffs)
 
+    def reduced(self) -> tuple[int, ...]:
+        return self._reduced
+
     def coords(self) -> tuple[int, ...]:
-        return self.surface.class_coords(self)
+        """Coordinates in the Z-basis ([D_3], ..., [D_n]) of Pic."""
+        return self._reduced[2:]
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number; bilinear in D_i . D_j = a_i, 1, 0."""

@@ -103,10 +103,16 @@ class ToricSystem:
         return (self.surface.selfints, tuple(a.coords() for a in self.entries))
 
     def canonical_key(self) -> tuple:
-        """Identity up to rotation and mirror."""
+        """Identity up to rotation and mirror: the least entry-coordinate
+        tuple over the 2n images of :meth:`symmetry_images`."""
+        coords = tuple(a.coords() for a in self.entries)
         return (
             self.surface.selfints,
-            min(tuple(a.coords() for a in s.entries) for s in self.symmetry_images()),
+            min(
+                seq[k:] + seq[:k]
+                for seq in (coords, coords[::-1])
+                for k in range(len(seq))
+            ),
         )
 
     def __eq__(self, other) -> bool:

@@ -184,3 +184,60 @@ def test_orbit_report_rank_out_of_range():
         orbit_report(from_selfints((1, 1, 1)))
     with pytest.raises(RankOutOfRange):
         orbit_report(from_selfints((2, 0, -2, 0)))
+
+
+_TAMPER_SCRIPT = r"""
+import dataclasses, io, json, sys
+from contextlib import redirect_stdout
+
+import torsys.classify
+from torsys import from_selfints
+from torsys.classify import InvalidWitness, is_constructible
+from torsys.cli import main
+from torsys.systems import standard_system
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
+std = standard_system(x)
+witness = is_constructible(std)
+
+# a step that records the wrong surface no longer replays
+step = witness.steps[0]
+forged = dataclasses.replace(step, surface=from_selfints(step.surface.selfints[::-1]))
+try:
+    dataclasses.replace(witness, steps=(forged,) + witness.steps[1:]).replay()
+    print("replay accepted")
+except InvalidWitness:
+    print("replay rejected")
+
+# the CLI refuses a witness that replays to another system
+torsys.classify.is_constructible = lambda system: witness
+rotated = std.rotate(1)
+blob = json.dumps({"surface": list(x.selfints),
+                   "entries": [list(a.coeffs) for a in rotated.entries]})
+with redirect_stdout(io.StringIO()):
+    code = main(["check-constructible", "--system", blob])
+print("cli exit", code)
+"""
+
+
+def test_tampered_witness_rejected_under_optimize():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["replay rejected", "cli exit 2"]
+    assert "InvalidWitness" in proc.stderr

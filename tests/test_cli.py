@@ -132,3 +132,35 @@ def test_json_round_trip_schemas(capsys):
     for system in data["nonconstructible"]:
         code2, verdict = run_json(capsys, "check-exceptional", "--system", json.dumps(system))
         assert code2 == 0 and verdict["exceptional"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--surface", "[1.7,1,1]"],
+        ["surface", "--surface", '{"selfints": [1,1,true]}'],
+        ["cohomology", "--surface", "[1,1,1]", "--class", "[0.9,0,true]"],
+        ["cohomology", "--surface", "[1,1,1]", "--class", '{"coeffs": [1,0,"0"]}'],
+        ["check-system", "--system",
+         '{"surface": [1,1,1], "entries": [[1,0,0],[1,0,0],[1.0,0,0]]}'],
+        ["certify-full", "--sequence",
+         '{"surface": [1,1,1], "entries": [[0,0,0],[false,0,0],[2,0,0]]}'],
+    ],
+)
+def test_non_integer_json_is_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert "array of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify-full", "--max-depth", "-5", "--sequence", "[]"],
+        ["--threads", "0", "orbit-report", "--surface", "[1,1,1]"],
+    ],
+)
+def test_flag_ranges_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err

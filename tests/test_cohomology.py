@@ -146,3 +146,26 @@ def test_fast_path_equals_oracle_exhaustive_small_p2():
     for c in itertools.product(range(-3, 4), repeat=3):
         d = p2.divisor_class(c)
         assert tuple(cohomology_dims(d)) == tuple(oracle_cohomology_dims(d))
+
+
+def test_vanishes_totally_memo_matches_dims_and_oracle():
+    from torsys.cohomology import _vanishes_cached
+
+    assert _vanishes_cached.cache_info().maxsize is not None  # bounded memo
+    rng = random.Random(23)
+    surfaces = [_p2(), from_selfints((2, 0, -2, 0)), rank5.surface()]
+    hits = 0
+    for _ in range(60):
+        x = surfaces[rng.randrange(len(surfaces))]
+        c = [rng.randint(-2, 2) for _ in range(x.n)]
+        d = x.divisor_class(c)
+        want = cohomology_dims(d).is_zero()
+        assert vanishes_totally(d) == want
+        assert oracle_cohomology_dims(d).is_zero() == want
+        # another representative of the class answers from the memo
+        m = (rng.randint(-2, 2), rng.randint(-2, 2))
+        shifted = x.divisor_class([a + r for a, r in zip(c, x.relation_vector(m))])
+        before = _vanishes_cached.cache_info().hits
+        assert vanishes_totally(shifted) == want
+        hits += _vanishes_cached.cache_info().hits - before
+    assert hits == 60

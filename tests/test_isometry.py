@@ -18,6 +18,11 @@ import rank5
 
 RANK3 = (-1, -1, -1, 0, 0)
 RANK4 = (-1, -1, -1, -1, -1, -1)
+RANK6 = (-2, -1, -2, -1, -2, -1, -2, -1)
+# sha256 of repr([g.matrix for g in weyl_group(TV(RANK6))]), taken from the
+# closure by full matrix products; pins the element order, and with it the
+# order of every orbit built from the group
+RANK6_WEYL_DIGEST = "2b679cb22b9b23180d1aba17d172992d28b82c7cad95a0a2b84311eb66023561"
 
 
 @pytest.mark.parametrize(
@@ -176,3 +181,25 @@ def test_twist_class_is_weyl_reflection():
         for _ in range(15):
             c = x.divisor_class([rng.randint(-4, 4) for _ in range(7)])
             assert twist_class(t, c) == s.apply(c)
+
+
+def test_weyl_group_rank6_validates_each_element_once(monkeypatch):
+    import hashlib
+
+    from torsys.isometry import Isometry
+
+    built = []
+    validate = Isometry.__post_init__
+
+    def counting(self):
+        built.append(self.matrix)
+        validate(self)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counting)
+    w = weyl_group(from_selfints(RANK6))
+    assert len(w) == 1920
+    assert len(built) == len(w)
+    assert set(built) == {g.matrix for g in w}
+    digest = hashlib.sha256(repr([g.matrix for g in w]).encode()).hexdigest()
+    assert digest == RANK6_WEYL_DIGEST
+

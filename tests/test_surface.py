@@ -346,3 +346,19 @@ def test_divisor_class_repr_and_coords_round_trip():
     for _ in range(20):
         c = x.divisor_class([rng.randint(-5, 5) for _ in range(7)])
         assert x.class_from_coords(c.coords()) == c
+
+
+def test_representatives_compare_equal_and_keep_their_coeffs():
+    x = rank5.surface()
+    rng = random.Random(17)
+    for _ in range(20):
+        c = tuple(rng.randint(-4, 4) for _ in range(7))
+        m = (rng.randint(-3, 3), rng.randint(-3, 3))
+        shifted = tuple(a + r for a, r in zip(c, x.relation_vector(m)))
+        d, e = x.divisor_class(c), x.divisor_class(shifted)
+        assert d == e and hash(d) == hash(e)
+        assert d.reduced() == e.reduced() and d.coords() == e.coords()
+        # the cached reduction never replaces the stored representative
+        assert d.coeffs == c and e.coeffs == shifted
+        assert repr(e) == f"DivisorClass{shifted}"
+        assert (d + e).coeffs == tuple(a + b for a, b in zip(c, shifted))

@@ -216,3 +216,13 @@ def test_augmentation_preserves_exceptionality_seeded():
         assert is_exceptional(big) == is_exceptional(s)
         checked += 1
     assert checked == 60
+
+
+def test_canonical_key_is_least_symmetry_image():
+    from torsys.isometry import orbit, weyl_group
+
+    x = rank5.surface()
+    for s in orbit(standard_system(x), weyl_group(x))[:40]:
+        want = min(image.key() for image in s.symmetry_images())
+        assert s.canonical_key() == want
+        assert s.rotate(3).canonical_key() == s.mirror().canonical_key() == want
