@@ -7,6 +7,7 @@ from .surface import (
     EvenTerminalHirzebruch,
     FanAutomorphism,
     GoodBasis,
+    InternalInconsistency,
     InvalidFan,
     NotContractible,
     RankTooLow,
@@ -19,7 +20,7 @@ from .surface import (
 )
 from .cohomology import (
     CohomologyDims,
-    InternalInconsistency,
+    OracleBoxTooLarge,
     cohomology_dims,
     euler_char,
     h0,

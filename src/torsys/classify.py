@@ -10,12 +10,10 @@ certificate records the twists plus a replayable de-augmentation witness.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .cohomology import InternalInconsistency
 from .isometry import RankOutOfRange, orbit, weyl_group
-from .surface import DivisorClass, FanAutomorphism, ToricSurface
+from .surface import DivisorClass, FanAutomorphism, InternalInconsistency, ToricSurface
 from .systems import (
     HirzebruchSystemClass,
     LineBundleSequence,
@@ -244,21 +242,16 @@ class OrbitReport:
     automorphism_pairing: tuple[tuple[int, int, FanAutomorphism], ...]
 
 
-def orbit_report(x: ToricSurface, threads: int | None = None) -> OrbitReport:
+def orbit_report(x: ToricSurface) -> OrbitReport:
     """Apply the whole K-isometry (= Weyl) group to the standard system and
     classify every image; non-constructible ones are paired up under fan
-    automorphisms.  Deterministic regardless of thread count."""
+    automorphisms."""
     if not 3 <= x.pic_rank <= 5:
         raise RankOutOfRange(
             f"orbit reports support Picard rank 3..5, got {x.pic_rank}"
         )
     systems = orbit(standard_system(x), weyl_group(x))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(is_exceptional, systems))
-    else:
-        flags = [is_exceptional(s) for s in systems]
-    exceptional = [s for s, f in zip(systems, flags) if f]
+    exceptional = [s for s in systems if is_exceptional(s)]
     memo = _Memo()
     nonconstructible = [
         s for s in exceptional if _search(s, memo) is None

@@ -19,7 +19,12 @@ from .classify import (
     certify_full,
     orbit_report,
 )
-from .cohomology import cohomology_dims, euler_char, oracle_cohomology_dims
+from .cohomology import (
+    ORACLE_MAX_CHARACTERS,
+    cohomology_dims,
+    euler_char,
+    oracle_cohomology_dims,
+)
 from .surface import (
     DivisorClass,
     FanAutomorphism,
@@ -289,7 +294,7 @@ def _cmd_certify_full(args) -> int:
 
 def _cmd_orbit_report(args) -> int:
     x = _surface_from_json(_load_json_arg(args.surface))
-    report = orbit_report(x, threads=args.threads)
+    report = orbit_report(x)
     payload = report_to_json(report)
     lines = [
         f"surface TV{x.selfints}",
@@ -311,7 +316,7 @@ def _cmd_reproduce_paper(args) -> int:
     non-constructible system, its bundle sequence and its twist image, and
     depth-1 fullness certificates for both non-constructible sequences."""
     x = from_selfints(RANK5_SELFINTS)
-    report = orbit_report(x, threads=args.threads)
+    report = orbit_report(x)
     ok = (
         report.total == 120
         and report.exceptional_count == 98
@@ -379,14 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized subcommands (reserved; current subcommands are deterministic)",
-    )
-    parser.add_argument(
-        "--threads", type=_int_at_least(1), default=None,
-        help="worker threads for orbit scans (affects wall time only, never results)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="inspect a surface")
@@ -396,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="line-bundle cohomology dimensions")
     p.add_argument("--surface", required=True)
     p.add_argument("--class", dest="cls", required=True, help='JSON [c_1,...] or {"coeffs": [...]} or a path')
-    p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
+    p.add_argument(
+        "--oracle", action="store_true",
+        help=f"also run the brute-force oracle (at most {ORACLE_MAX_CHARACTERS:,} characters)",
+    )
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("check-system", help="validate a toric system")

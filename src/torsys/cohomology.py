@@ -14,19 +14,13 @@ h^1).  The two paths share no code and cross-validate each other.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .surface import DivisorClass, from_selfints
+from .surface import DivisorClass, InternalInconsistency, from_selfints
 
 Character = tuple[int, int]
-
-
-class InternalInconsistency(RuntimeError):
-    """Two computations that must agree did not (for example, the fast-path
-    dimensions came out negative): an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,10 @@ class CohomologyDims:
 def euler_char(d: DivisorClass) -> int:
     """chi(O(D)) = 1 + (D^2 - D.K)/2, exact."""
     num = d.square() - d.k_degree()
-    assert num % 2 == 0
+    if num % 2 != 0:
+        raise InternalInconsistency(
+            f"D^2 - D.K = {num} is odd for {d.coeffs} on {d.surface}"
+        )
     return 1 + num // 2
 
 
@@ -125,31 +122,103 @@ def _vanishes_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> bool
     return cohomology_dims(from_selfints(selfints).divisor_class(coeffs)).is_zero()
 
 
+ORACLE_MAX_CHARACTERS = 4_000_000
+
+
+class OracleBoxTooLarge(ValueError):
+    """The oracle's character box would hold more than ORACLE_MAX_CHARACTERS
+    characters."""
+
+
 def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> CohomologyDims:
     """Independent brute-force computation by summing over characters.
 
-    For each m in the box [-B, B]^2, the rays with <m, v_i> < -c_i span a
-    subcomplex of the fan's boundary circle; weight m contributes 1 to h^0 if
-    the subcomplex is empty, 1 to h^2 if it is the whole circle, and
-    (number of arcs - 1) to h^1 otherwise.  The default box bound is
-    B = sum|c_i| * max|v_i|_inf + 1, which contains every contributing m.
+    For each character m, the rays with <m, v_i> < -c_i span a subcomplex of
+    the fan's boundary circle; weight m contributes 1 to h^0 if the
+    subcomplex is empty, 1 to h^2 if it is the whole circle, and
+    (number of arcs - 1) to h^1 otherwise.
+
+    With an explicit ``bound`` the sum runs over the square [-B, B]^2.  By
+    default it runs over the bounding box of the pairwise intersection points
+    of the lines <m, v_i> = -c_i, widened by 2, which contains every
+    contributing m:
+
+    The characters with one failing set F are the region R_F of the line
+    arrangement cut out by <m, v_i> < -c_i for i in F and >= -c_i for i not
+    in F, a convex set.  Let P_F be R_F with every strict inequality relaxed.
+    If P_F has a recession direction u, then for m in R_F the whole ray
+    m + t u (t >= 0) stays in R_F, so {i : <u, v_i> < 0} is contained in F,
+    which is contained in {i : <u, v_i> <= 0}.  The fan is complete, so some
+    ray has <u, v_i> < 0 and some has <u, v_i> > 0; the rays in an open or a
+    closed half-plane are consecutive in the cyclic order, and the two sets
+    differ only by the at most two rays on the line <u, -> = 0, one at each
+    end.  F is therefore one arc, neither empty nor all of the rays, and
+    adds 1 - 1 = 0 to h^1 and nothing to h^0 or h^2 (so those two regions
+    are bounded).  Every contributing non-empty R_F thus has a P_F without
+    recession direction: a bounded polygon whose vertices each solve two of
+    the line equations, so R_F lies in the convex hull of the pairwise
+    intersection points.
+
+    The oracle keeps its own intersection loop and shares no code with the
+    fast path.  A box of more than ORACLE_MAX_CHARACTERS characters raises
+    OracleBoxTooLarge before any scan.
     """
     x = d.surface
+    rays = x.rays
     coeffs = d.reduced()
     if bound is None:
-        max_ray = max(max(abs(vx), abs(vy)) for vx, vy in x.rays)
-        bound = sum(abs(c) for c in coeffs) * max_ray + 1
-    grid = np.arange(-bound, bound + 1, dtype=np.int64)
-    mx, my = np.meshgrid(grid, grid, indexing="ij")
-    chars = np.stack([mx.ravel(), my.ravel()], axis=1)
-    rays = np.array(x.rays, dtype=np.int64)
-    vals = chars @ rays.T
-    failing = vals < -np.array(coeffs, dtype=np.int64)
-    full = failing.all(axis=1)
-    empty = ~failing.any(axis=1)
-    arc_starts = (failing & ~np.roll(failing, 1, axis=1)).sum(axis=1)
-    mid = ~(full | empty)
-    h0_ = int(empty.sum())
-    h2_ = int(full.sum())
-    h1_ = int((arc_starts[mid] - 1).sum())
+        x_lo, x_hi, y_lo, y_hi = _oracle_box(rays, coeffs)
+    else:
+        x_lo, x_hi, y_lo, y_hi = -bound, bound, -bound, bound
+    size = max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
+    if size > ORACLE_MAX_CHARACTERS:
+        raise OracleBoxTooLarge(
+            f"oracle box [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] holds {size} characters,"
+            f" more than {ORACLE_MAX_CHARACTERS}"
+        )
+    n = len(rays)
+    everything = (1 << n) - 1
+    h0_ = h1_ = h2_ = 0
+    for mx in range(x_lo, x_hi + 1):
+        # ray i fails at (mx, my) iff vy_i * my < -(vx_i * mx + c_i)
+        column = [
+            (vy, -(vx * mx + c), 1 << i) for i, ((vx, vy), c) in enumerate(zip(rays, coeffs))
+        ]
+        for my in range(y_lo, y_hi + 1):
+            failing = 0
+            for vy, rhs, bit in column:
+                if vy * my < rhs:
+                    failing |= bit
+            if failing == 0:
+                h0_ += 1
+            elif failing == everything:
+                h2_ += 1
+            else:
+                # an arc starts at each failing ray whose predecessor holds
+                predecessor_fails = ((failing << 1) | (failing >> (n - 1))) & everything
+                h1_ += (failing & ~predecessor_fails).bit_count() - 1
     return CohomologyDims(h0_, h1_, h2_)
+
+
+def _oracle_box(
+    rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
+) -> tuple[int, int, int, int]:
+    """(x_lo, x_hi, y_lo, y_hi): the bounding box of the pairwise intersection
+    points of the lines <m, v_i> = -c_i, widened by 2."""
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    n = len(rays)
+    for i in range(n):
+        (ax, ay), ci = rays[i], coeffs[i]
+        for j in range(i + 1, n):
+            (bx, by), cj = rays[j], coeffs[j]
+            det = ax * by - ay * bx
+            if det != 0:
+                xs.append(Fraction(cj * ay - ci * by, det))
+                ys.append(Fraction(ci * bx - cj * ax, det))
+    return (
+        math.floor(min(xs)) - 2,
+        math.ceil(max(xs)) + 2,
+        math.floor(min(ys)) - 2,
+        math.ceil(max(ys)) + 2,
+    )

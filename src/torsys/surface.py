@@ -37,6 +37,11 @@ class RankTooLow(ValueError):
     """Blow-down would drop below the minimal surfaces (n = 3)."""
 
 
+class InternalInconsistency(RuntimeError):
+    """Two computations that must agree did not (for example, the fast-path
+    dimensions came out negative): an implementation bug."""
+
+
 class EvenTerminalHirzebruch(ValueError):
     """No blow-down path ends on an odd Hirzebruch surface, so the intersection
     form has no integral orthogonal basis of signature (1, -1, ..., -1)."""
@@ -274,7 +279,8 @@ class ToricSurface:
         del new[i]
         below = from_selfints(new)
         rel = BlowupRelation(below=below, above=self, ray_index=i)
-        assert rel.below._insert_ray(i).above.selfints == self.selfints
+        if rel.below._insert_ray(i).above.selfints != self.selfints:
+            raise InternalInconsistency(f"blowing {below} up again does not give {self}")
         return rel
 
     # good bases ---------------------------------------------------------------
@@ -497,7 +503,8 @@ class BlowupRelation:
             p, q = _solve_primitive(vx, vy, t)
             rel = self.above.relation_vector((p, q))
             cc = [c - r for c, r in zip(cc, rel)]
-            assert cc[e] == 0
+            if cc[e] != 0:
+                raise InternalInconsistency("the relation shift left an exceptional coefficient")
         del cc[e]
         return self.below.divisor_class(cc)
 
@@ -505,7 +512,8 @@ class BlowupRelation:
 def _solve_primitive(vx: int, vy: int, t: int) -> Vec2:
     """Some integer (p, q) with p*vx + q*vy = t, for gcd(vx, vy) = 1."""
     g, p, q = _xgcd(vx, vy)
-    assert g == 1
+    if g != 1:
+        raise InternalInconsistency(f"ray ({vx}, {vy}) is not primitive")
     return p * t, q * t
 
 
@@ -532,14 +540,18 @@ class GoodBasis:
     terminal: ToricSurface
 
     def _check(self) -> None:
-        rho = self.surface.pic_rank
-        assert len(self.elements) == rho
+        if len(self.elements) != self.surface.pic_rank:
+            raise InternalInconsistency("good basis has the wrong number of elements")
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 want = 0 if i != j else (1 if i == 0 else -1)
-                assert a.dot(b) == want, "good basis is not orthonormal of signature (1,-)"
+                if a.dot(b) != want:
+                    raise InternalInconsistency(
+                        "good basis is not orthonormal of signature (1,-)"
+                    )
         mat = tuple(zip(*(e.coords() for e in self.elements)))
-        assert abs(_intlinalg.det(mat)) == 1, "good basis does not span Pic over Z"
+        if abs(_intlinalg.det(mat)) != 1:
+            raise InternalInconsistency("good basis does not span Pic over Z")
 
     def coords_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Columns are the Pic coordinates of (H, R_1, ..., R_l)."""

@@ -16,6 +16,7 @@ from .cohomology import vanishes_totally
 from .surface import (
     BlowupRelation,
     DivisorClass,
+    InternalInconsistency,
     InvalidFan,
     ToricSurface,
     from_selfints,
@@ -321,7 +322,8 @@ def hirzebruch_pq(x: ToricSurface) -> tuple[DivisorClass, DivisorClass, int]:
     s = x.selfints.index(r)
     q = x.divisor(s)
     p = x.divisor((s + 1) % 4)
-    assert p.square() == 0 and q.square() == r and p.dot(q) == 1
+    if not (p.square() == 0 and q.square() == r and p.dot(q) == 1):
+        raise InternalInconsistency(f"(P, Q) of {x} is not the standard basis")
     return p, q, r
 
 
@@ -357,7 +359,8 @@ def classify_hirzebruch(system: ToricSystem) -> HirzebruchSystemClass:
         # c = alpha P + beta Q with beta = c.P, alpha = c.Q - r c.P
         beta = c.dot(p)
         alpha = c.dot(q) - r * beta
-        assert c == alpha * p + beta * q
+        if c != alpha * p + beta * q:
+            raise InternalInconsistency(f"{c} is not {alpha} P + {beta} Q")
         return alpha, beta
 
     for image in system.symmetry_images():

@@ -39,7 +39,8 @@ class TwistByCurve:
         if a != -2:
             raise ValueError(f"ray {self.curve_ray} has self-intersection {a}, not -2")
         c = self.curve_class
-        assert c.square() == -2 and c.k_degree() == 0
+        if c.square() != -2 or c.k_degree() != 0:
+            raise ValueError(f"ray {self.curve_ray} does not carry a (-2)-curve")
 
     @property
     def curve_class(self) -> DivisorClass:

@@ -163,16 +163,6 @@ def test_rank5_orbit_every_witness_replays():
     assert replayed == 96
 
 
-def test_orbit_report_threads_do_not_change_results():
-    rep1 = orbit_report(rank5.surface())
-    rep2 = orbit_report(rank5.surface(), threads=4)
-    assert rep1.total == rep2.total
-    assert rep1.exceptional_count == rep2.exceptional_count
-    assert [s.key() for s in rep1.nonconstructible] == [
-        s.key() for s in rep2.nonconstructible
-    ]
-
-
 def test_orbit_report_rank4_all_constructible():
     rep = orbit_report(from_selfints((-1, -1, -1, -1, -1, -1)))
     assert rep.exceptional_count == rep.constructible_count

@@ -42,6 +42,12 @@ def test_cohomology_command(capsys):
     assert data["agree"] is True
 
 
+def test_cohomology_oracle_box_cap_exits_2(capsys):
+    code = main(["cohomology", "--surface", "[1,1,1]", "--class", "[3000,0,0]", "--oracle"])
+    assert code == 2
+    assert "OracleBoxTooLarge" in capsys.readouterr().err
+
+
 def test_check_system_command(capsys, tmp_path):
     system = {
         "surface": {"selfints": [1, 1, 1]},
@@ -112,8 +118,6 @@ def test_reproduce_paper_deterministic(capsys):
     code2, out2 = run(capsys, "reproduce-paper")
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3 = run(capsys, "--threads", "3", "reproduce-paper")
-    assert out3 == out1
 
 
 def test_reproduce_paper_matches_golden_file(capsys):
@@ -156,7 +160,6 @@ def test_non_integer_json_is_rejected(capsys, argv):
     "argv",
     [
         ["certify-full", "--max-depth", "-5", "--sequence", "[]"],
-        ["--threads", "0", "orbit-report", "--surface", "[1,1,1]"],
     ],
 )
 def test_flag_ranges_are_rejected(capsys, argv):

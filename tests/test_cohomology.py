@@ -1,7 +1,12 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from torsys import (
+    OracleBoxTooLarge,
     cohomology_dims,
     euler_char,
     from_selfints,
@@ -128,17 +133,65 @@ def test_fast_path_equals_oracle_on_long_ray_chain():
 
 
 def test_oracle_box_is_stable_under_enlargement():
-    # enlarging the character box beyond the default bound never changes the
-    # answer, so the default bound already contains every contribution
+    # the tight default box (pairwise vertices of the line arrangement, +2)
+    # gives the same answer as a square well beyond the older, looser bound
+    # sum|c_i| * max|v_i| + 1, which contains every contribution by itself
     rng = random.Random(41)
-    for selfints in [(1, 1, 1), (0, 0, 0, 0), rank5.SELFINTS]:
+    for selfints in [(1, 1, 1), (0, 0, 0, 0), (-1, -1, -1, 0, 0), (-1,) * 6, rank5.SELFINTS]:
         x = from_selfints(selfints)
         for _ in range(8):
             d = x.divisor_class([rng.randint(-3, 3) for _ in range(x.n)])
-            base = oracle_cohomology_dims(d)
             max_ray = max(max(abs(a), abs(b)) for a, b in x.rays)
-            default = sum(abs(c) for c in d.reduced()) * max_ray + 1
-            assert tuple(oracle_cohomology_dims(d, bound=default + 6)) == tuple(base)
+            loose = sum(abs(c) for c in d.reduced()) * max_ray + 1
+            wide = oracle_cohomology_dims(d, bound=loose + 6)
+            assert tuple(oracle_cohomology_dims(d)) == tuple(wide)
+            assert tuple(wide) == tuple(cohomology_dims(d))
+
+
+def test_oracle_box_is_capped():
+    p2 = _p2()
+    with pytest.raises(OracleBoxTooLarge):
+        oracle_cohomology_dims(p2.divisor_class((3000, 0, 0)))
+    # an explicit square is capped too: (2 * 1000 + 1)^2 > 4,000,000
+    with pytest.raises(OracleBoxTooLarge):
+        oracle_cohomology_dims(p2.zero_class(), bound=1000)
+
+
+@st.composite
+def _blowup_classes(draw):
+    """A class with coefficients in [-6, 6] on P^2 or on a blow-up of F_0..F_3
+    with at most 9 rays."""
+    starts = [(1, 1, 1)] + [(r, 0, -r, 0) for r in range(4)]
+    x = from_selfints(draw(st.sampled_from(starts)))
+    for p in draw(st.lists(st.integers(0, 8), max_size=9 - x.n)):
+        x = x.blow_up(p % x.n).above
+    return x.divisor_class(draw(st.lists(st.integers(-6, 6), min_size=x.n, max_size=x.n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_blowup_classes())
+def test_fast_path_equals_oracle_property(d):
+    assert tuple(cohomology_dims(d)) == tuple(oracle_cohomology_dims(d))
+
+
+def test_cli_import_leaves_numpy_out():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, torsys.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_fast_path_equals_oracle_exhaustive_small_p2():

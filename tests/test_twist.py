@@ -32,6 +32,42 @@ def test_twist_by_curve_validates():
     assert t.curve_class.k_degree() == 0
 
 
+_NOT_MINUS_TWO_SCRIPT = r"""
+import sys
+
+from torsys import from_selfints
+from torsys.twist import TwistByCurve
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+try:
+    TwistByCurve(from_selfints((-2, -1, -1, -1, -1, -2, -1)), 1)  # a (-1)-ray
+    print("accepted")
+except ValueError:
+    print("rejected")
+"""
+
+
+def test_twist_by_curve_validates_under_optimize():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NOT_MINUS_TWO_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"]
+
+
 def test_euler_pair_chi():
     x = rank5.surface()
     t = TwistByCurve(x, 0)
