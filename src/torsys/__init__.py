@@ -16,10 +16,10 @@ from .surface import (
     coords_in_basis,
     from_selfints,
     normalize,
-    pairing,
 )
 from .cohomology import (
     CohomologyDims,
+    H0TooLarge,
     OracleBoxTooLarge,
     cohomology_dims,
     euler_char,

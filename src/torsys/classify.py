@@ -17,9 +17,9 @@ from .surface import DivisorClass, FanAutomorphism, InternalInconsistency, Toric
 from .systems import (
     HirzebruchSystemClass,
     LineBundleSequence,
-    NotDeaugmentable,
     ToricSystem,
     _augment_at_ray,
+    _differences,
     classify_hirzebruch,
     deaugment,
     from_sequence,
@@ -101,17 +101,14 @@ class FullnessCertificate:
 class _Memo:
     """Shared search memo.  Failures are cached up to rotation/mirror of the
     sequence (the expensive exhaustive searches); successes are cached under
-    the exact sequence so stored witnesses replay bit-exactly.
-    Concurrent readers are safe; inserts are idempotent."""
+    the exact sequence so stored witnesses replay bit-exactly."""
 
     def __init__(self):
         self.false_keys: set = set()
         self.witnesses: dict = {}
 
 
-def is_constructible(
-    system: ToricSystem, _memo: _Memo | None = None
-) -> ConstructibilityWitness | None:
+def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
     """Search all de-augmentation chains for a witness; None when none exists.
 
     The input must be exceptional.  At every level, each contractible ray i
@@ -121,7 +118,7 @@ def is_constructible(
     """
     if not is_exceptional(system):
         raise NotExceptionalInput("constructibility is defined for exceptional systems")
-    return _search(system, _memo if _memo is not None else _Memo())
+    return _search(system, _Memo())
 
 
 def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
@@ -150,10 +147,7 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
         for position, entry in enumerate(system.entries):
             if entry != r:
                 continue
-            try:
-                sub, _ = deaugment(system, position, ray)
-            except NotDeaugmentable:
-                continue
+            sub, _ = deaugment(system, position, ray)
             if not is_exceptional(sub):
                 raise InternalInconsistency(
                     "de-augmentation of an exceptional system went non-exceptional"
@@ -172,17 +166,17 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
     return None
 
 
-def certify_full(
-    seq: LineBundleSequence, max_depth: int = 3, _memo: _Memo | None = None
-) -> FullnessCertificate:
+def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertificate:
     """Certify fullness of an exceptional bundle sequence.
 
     Directly constructible sequences certify with no twists.  Otherwise a
     breadth-first search composes up to ``max_depth`` twists at invariant
     (-2)-rays (skipping compositions that leave the line-bundle world) and
     certifies on the first constructible image.  A miss returns "unknown".
+    Only the input is validated: a twist acts on Pic as the reflection at the
+    root C, a K-isometry, so twisted systems are built unchecked.
     """
-    memo = _memo if _memo is not None else _Memo()
+    memo = _Memo()
     system = from_sequence(seq)
     if not is_exceptional(system):
         raise NotExceptionalInput("fullness certification needs an exceptional sequence")
@@ -190,7 +184,7 @@ def certify_full(
     if witness is not None:
         return FullnessCertificate("full", (), witness, seq)
     x = seq.surface
-    rays = minus_two_rays(x)
+    twists = [TwistByCurve(x, ray) for ray in minus_two_rays(x)]
     notes = (
         f"twist search depth <= {max_depth}",
         "forward twists at torus-invariant (-2)-curves only",
@@ -204,8 +198,7 @@ def certify_full(
     for _ in range(max_depth):
         new_frontier = []
         for current, trail in frontier:
-            for ray in rays:
-                t = TwistByCurve(x, ray)
+            for t in twists:
                 try:
                     twisted = twist_sequence(t, current)
                 except NotALineBundle:
@@ -214,8 +207,8 @@ def certify_full(
                 if key in seen:
                     continue
                 seen.add(key)
-                application = TwistApplication(ray, twist_cases(t, current))
-                twisted_system = from_sequence(twisted)
+                application = TwistApplication(t.curve_ray, twist_cases(t, current))
+                twisted_system = ToricSystem(x, _differences(twisted))
                 if not is_exceptional(twisted_system):
                     raise InternalInconsistency(
                         "a twist of an exceptional sequence went non-exceptional"
@@ -245,7 +238,8 @@ class OrbitReport:
 def orbit_report(x: ToricSurface) -> OrbitReport:
     """Apply the whole K-isometry (= Weyl) group to the standard system and
     classify every image; non-constructible ones are paired up under fan
-    automorphisms."""
+    automorphisms, whose images are built unchecked: a fan automorphism's
+    pullback preserves the pairing and K."""
     if not 3 <= x.pic_rank <= 5:
         raise RankOutOfRange(
             f"orbit reports support Picard rank 3..5, got {x.pic_rank}"
@@ -263,7 +257,7 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
             if i == j:
                 continue
             for f in autos:
-                image = ToricSystem.validate(x, tuple(f.apply(e) for e in a.entries))
+                image = ToricSystem(x, tuple(f.apply(e) for e in a.entries))
                 if image == b:
                     pairing.append((i, j, f))
                     break

@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .surface import DivisorClass, InternalInconsistency, from_selfints
 
-Character = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class CohomologyDims:
@@ -50,8 +48,17 @@ def euler_char(d: DivisorClass) -> int:
     return 1 + num // 2
 
 
+H0_MAX_COLUMNS = 4_000_000
+
+
+class H0TooLarge(ValueError):
+    """The h0 scan box, bounded by the pairwise intersections of the facet
+    lines, spans more than H0_MAX_COLUMNS columns."""
+
+
 def h0(d: DivisorClass) -> int:
-    """Number of characters m with <m, v_i> >= -c_i for all i."""
+    """Number of characters m with <m, v_i> >= -c_i for all i.  A scan box
+    of more than H0_MAX_COLUMNS columns raises H0TooLarge before any scan."""
     return _h0_cached(d.surface.selfints, d.reduced())
 
 
@@ -77,6 +84,10 @@ def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
     hi = max(xs)
     x_min = lo.numerator // lo.denominator
     x_max = -((-hi.numerator) // hi.denominator)
+    if x_max - x_min + 1 > H0_MAX_COLUMNS:
+        raise H0TooLarge(
+            f"h0 would scan {x_max - x_min + 1} columns, more than {H0_MAX_COLUMNS}"
+        )
     count = 0
     for mx in range(x_min, x_max + 1):
         y_lo, y_hi = None, None

@@ -65,9 +65,9 @@ class Isometry:
         )
 
     def apply_system(self, system: ToricSystem) -> ToricSystem:
-        return ToricSystem.validate(
-            system.surface, tuple(self.apply(a) for a in system.entries)
-        )
+        """Entrywise image, built unchecked: the constructor proved that the
+        map preserves the pairing and fixes K."""
+        return ToricSystem(system.surface, tuple(self.apply(a) for a in system.entries))
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         """Composition self after other."""

@@ -452,11 +452,6 @@ class DivisorClass:
         return f"DivisorClass{self.coeffs}"
 
 
-def pairing(d: DivisorClass, e: DivisorClass) -> int:
-    """Intersection pairing on Pic(X)."""
-    return d.dot(e)
-
-
 @dataclass(frozen=True)
 class BlowupRelation:
     """One toric blow-up ``above -> below`` with its maps on Pic.
@@ -552,10 +547,6 @@ class GoodBasis:
         mat = tuple(zip(*(e.coords() for e in self.elements)))
         if abs(_intlinalg.det(mat)) != 1:
             raise InternalInconsistency("good basis does not span Pic over Z")
-
-    def coords_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Columns are the Pic coordinates of (H, R_1, ..., R_l)."""
-        return tuple(zip(*(e.coords() for e in self.elements)))
 
 
 @dataclass(frozen=True)

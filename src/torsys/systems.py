@@ -51,7 +51,11 @@ class Unclassifiable(RuntimeError):
 
 @dataclass(frozen=True)
 class ToricSystem:
-    """A validated toric system; construct through :meth:`validate`."""
+    """A toric system.  :meth:`validate` checks the axioms on outside input
+    and on augmentation, so witness replay re-validates every step.  Images
+    that are valid by construction (rotations, mirrors, isometry and fan
+    automorphism images, de-augmentations, twists) are built unchecked with
+    ``ToricSystem(surface, entries)``; each builder states its reason."""
 
     surface: ToricSurface
     entries: tuple[DivisorClass, ...]
@@ -175,14 +179,16 @@ def from_sequence(seq) -> ToricSystem:
     sequence is not exceptional-shaped."""
     if not isinstance(seq, LineBundleSequence):
         seq = LineBundleSequence.of(seq)
-    x = seq.surface
-    if len(seq) != x.k0_rank:
-        raise BadLength(f"expected {x.k0_rank} bundles, got {len(seq)}")
+    return ToricSystem.validate(seq.surface, _differences(seq))
+
+
+def _differences(seq: LineBundleSequence) -> tuple[DivisorClass, ...]:
+    """The entries of :func:`from_sequence`, unchecked."""
     diffs = [seq.entries[i + 1] - seq.entries[i] for i in range(len(seq) - 1)]
-    last = -x.canonical_class()
+    last = -seq.surface.canonical_class()
     for a in diffs:
         last = last - a
-    return ToricSystem.validate(x, diffs + [last])
+    return tuple(diffs) + (last,)
 
 
 def to_sequence(system: ToricSystem) -> LineBundleSequence:
@@ -199,8 +205,8 @@ def associated_surface(system: ToricSystem) -> ToricSurface:
     """TV(A_1^2, ..., A_n^2); valid systems always give a valid fan."""
     try:
         return from_selfints(system.squares())
-    except InvalidFan as exc:  # pragma: no cover - guarded by validation
-        raise AssertionError(
+    except InvalidFan as exc:
+        raise InternalInconsistency(
             f"valid toric system produced an invalid fan: {exc}"
         ) from exc
 
@@ -243,7 +249,12 @@ def deaugment(
 ) -> tuple[ToricSystem, DivisorClass]:
     """Reverse an augmentation: the entry at ``position`` must equal the class
     of the contractible ray ``ray``; both neighbours absorb R and everything
-    is pushed down to the blow-down.  Returns the smaller system and R."""
+    is pushed down to the blow-down.  Returns the smaller system and R.
+
+    Built unchecked: as A_i = R, (A_{i+-1} + R).R = 1 - 1 = 0, the other
+    entries meet R in 0 and (A_{i-1} + R).(A_{i+1} + R) = 1, so the merged
+    entries lie in R^perp with the cyclic pattern; pushdown is isometric on
+    R^perp; and the merged sum is -K + R = -pi^*K."""
     x = system.surface
     if x.selfints[ray % x.n] != -1:
         raise NotDeaugmentable(f"ray {ray} is not contractible on {x}")
@@ -259,16 +270,7 @@ def deaugment(
     merged[(position + 1) % n] = merged[(position + 1) % n] + r
     del merged[position]
     rel = x.blow_down(ray)
-    for a in merged:
-        if a.dot(r) != 0:
-            raise NotDeaugmentable(
-                "a merged entry is not orthogonal to the exceptional class"
-            )
-    try:
-        down = ToricSystem.validate(rel.below, [rel.pushdown(a) for a in merged])
-    except (BadIntersection, BadCanonicalSum, BadLength) as exc:
-        raise NotDeaugmentable(str(exc)) from exc
-    return down, r
+    return ToricSystem(rel.below, tuple(rel.pushdown(a) for a in merged)), r
 
 
 def is_exceptional(system: ToricSystem) -> bool:
@@ -301,7 +303,6 @@ class HirzebruchSystemClass:
     kind: str
     r: int
     i: int
-    basis: tuple[DivisorClass, DivisorClass]
 
     def is_exceptional_class(self) -> bool:
         """Which labels carry exceptional systems: every A_{r,i}; Atilde for
@@ -368,7 +369,7 @@ def classify_hirzebruch(system: ToricSystem) -> HirzebruchSystemClass:
         if b[0] == p and b[2] == p:
             alpha, beta = decompose(b[1])
             if beta == 1 and b[3] == -(r + alpha) * p + q:
-                return HirzebruchSystemClass("A", r, max(alpha, -(r + alpha)), (p, q))
+                return HirzebruchSystemClass("A", r, max(alpha, -(r + alpha)))
     if s is not None:
         for image in system.symmetry_images():
             b = image.entries
@@ -377,5 +378,5 @@ def classify_hirzebruch(system: ToricSystem) -> HirzebruchSystemClass:
                 delta = b[1].dot(p)
                 gamma = b[1].dot(s)
                 if gamma == 1 and b[1] == p + delta * s and b[3] == p - delta * s:
-                    return HirzebruchSystemClass("Atilde", r, abs(delta), (p, q))
+                    return HirzebruchSystemClass("Atilde", r, abs(delta))
     raise Unclassifiable(f"no Hirzebruch label matches {system}")

@@ -29,7 +29,8 @@ class NotALineBundle(ValueError):
 
 @dataclass(frozen=True)
 class TwistByCurve:
-    """The numerical shadow of the twist at an invariant (-2)-curve."""
+    """The numerical shadow of the twist at an invariant (-2)-curve.  By
+    adjunction C.K = -2 - C^2 = 0 for a (-2)-ray, so C is a root."""
 
     surface: ToricSurface
     curve_ray: int
@@ -38,9 +39,6 @@ class TwistByCurve:
         a = self.surface.selfints[self.curve_ray]
         if a != -2:
             raise ValueError(f"ray {self.curve_ray} has self-intersection {a}, not -2")
-        c = self.curve_class
-        if c.square() != -2 or c.k_degree() != 0:
-            raise ValueError(f"ray {self.curve_ray} does not carry a (-2)-curve")
 
     @property
     def curve_class(self) -> DivisorClass:

@@ -176,6 +176,26 @@ def test_orbit_report_rank_out_of_range():
         orbit_report(from_selfints((2, 0, -2, 0)))
 
 
+def test_search_path_validates_only_its_input(monkeypatch):
+    # orbit images, de-augmentations and twisted systems are built unchecked;
+    # only the standard system and each certify_full input are validated
+    calls = []
+    validate = ToricSystem.validate.__func__
+
+    def counting(cls, surface, entries):
+        calls.append(surface)
+        return validate(cls, surface, entries)
+
+    monkeypatch.setattr(ToricSystem, "validate", classmethod(counting))
+    rep = orbit_report(rank5.surface())
+    assert len(calls) == 1
+    for s in (standard_system(rank5.surface()),) + rep.nonconstructible:
+        calls.clear()
+        cert = certify_full(to_sequence(s), max_depth=1)
+        assert cert.verdict == "full"
+        assert len(calls) == 1
+
+
 _TAMPER_SCRIPT = r"""
 import dataclasses, io, json, sys
 from contextlib import redirect_stdout

@@ -48,6 +48,12 @@ def test_cohomology_oracle_box_cap_exits_2(capsys):
     assert "OracleBoxTooLarge" in capsys.readouterr().err
 
 
+def test_cohomology_h0_cap_exits_2(capsys):
+    code = main(["cohomology", "--surface", "[1,1,1]", "--class", "[10000000,0,0]"])
+    assert code == 2
+    assert "H0TooLarge" in capsys.readouterr().err
+
+
 def test_check_system_command(capsys, tmp_path):
     system = {
         "surface": {"selfints": [1, 1, 1]},

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsys import (
+    H0TooLarge,
     OracleBoxTooLarge,
     cohomology_dims,
     euler_char,
@@ -155,6 +156,21 @@ def test_oracle_box_is_capped():
     # an explicit square is capped too: (2 * 1000 + 1)^2 > 4,000,000
     with pytest.raises(OracleBoxTooLarge):
         oracle_cohomology_dims(p2.zero_class(), bound=1000)
+
+
+def test_h0_is_capped(monkeypatch):
+    import torsys.cohomology
+
+    p2 = _p2()
+    # on P^2 the class dH spans the d + 1 columns -d .. 0
+    with pytest.raises(H0TooLarge):
+        h0(p2.divisor_class((10**7, 0, 0)))
+    with pytest.raises(H0TooLarge):
+        cohomology_dims(p2.divisor_class((10**7, 0, 0)))
+    monkeypatch.setattr(torsys.cohomology, "H0_MAX_COLUMNS", 38)
+    assert h0(p2.divisor_class((37, 0, 0))) == 38 * 39 // 2
+    with pytest.raises(H0TooLarge):
+        h0(p2.divisor_class((38, 0, 0)))
 
 
 @st.composite

@@ -146,9 +146,11 @@ def test_orbit_rank5():
 
 
 def test_orbit_images_are_valid_systems():
-    x = from_selfints(RANK4)
-    for s in orbit(standard_system(x), weyl_group(x)):
-        ToricSystem.validate(x, s.entries)
+    # apply_system builds its images unchecked; the axioms must still hold
+    for selfints in (RANK4, rank5.SELFINTS, RANK6):
+        x = from_selfints(selfints)
+        for s in orbit(standard_system(x), weyl_group(x)):
+            ToricSystem.validate(x, s.entries)
 
 
 def test_orbit_surfaces_agree_up_to_normalization():

@@ -9,7 +9,6 @@ from torsys import (
     SurfaceMismatch,
     from_selfints,
     normalize,
-    pairing,
 )
 
 import rank5
@@ -137,7 +136,7 @@ def test_pairing_surface_mismatch():
     a = from_selfints((1, 1, 1)).divisor(0)
     b = from_selfints((1, 0, -1, 0)).divisor(0)
     with pytest.raises(SurfaceMismatch):
-        pairing(a, b)
+        a.dot(b)
 
 
 def test_canonical_class_squares():

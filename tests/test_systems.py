@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torsys import from_selfints
+from torsys import InternalInconsistency, from_selfints
 from torsys.systems import (
     BadCanonicalSum,
     BadIntersection,
@@ -10,6 +10,7 @@ from torsys.systems import (
     LineBundleSequence,
     NotDeaugmentable,
     ToricSystem,
+    _augment_at_ray,
     associated_surface,
     augment,
     classify_hirzebruch,
@@ -91,6 +92,14 @@ def test_associated_surface():
                 assert associated_surface(at) == from_selfints((abs(2 * i), 0, -abs(2 * i), 0))
 
 
+def test_associated_surface_of_unvalidated_system():
+    # the unchecked constructor can hold squares that close no fan
+    p2 = from_selfints((1, 1, 1))
+    bogus = ToricSystem(p2, (p2.zero_class(),) * 3)
+    with pytest.raises(InternalInconsistency):
+        associated_surface(bogus)
+
+
 def test_rotate_mirror():
     x = rank5.surface()
     s = standard_system(x)
@@ -157,6 +166,26 @@ def test_deaugment_standard_system():
     for ray in x.contractible_rays():
         sub, _ = deaugment(s, ray, ray)
         assert sub == standard_system(sub.surface)
+
+
+def test_deaugment_images_are_valid_and_invert_augmentation():
+    # deaugment builds its image unchecked; the axioms must still hold, and
+    # augmenting back along the same ray and position restores the input
+    from torsys.isometry import orbit, weyl_group
+
+    deaugmented = 0
+    for selfints in [(-1, -1, -1, -1, -1, -1), rank5.SELFINTS]:
+        x = from_selfints(selfints)
+        for s in orbit(standard_system(x), weyl_group(x)):
+            for ray in x.contractible_rays():
+                for position, entry in enumerate(s.entries):
+                    if entry != x.divisor(ray):
+                        continue
+                    sub, _ = deaugment(s, position, ray)
+                    ToricSystem.validate(sub.surface, sub.entries)
+                    assert _augment_at_ray(sub, ray, position) == s
+                    deaugmented += 1
+    assert deaugmented == 72 + 300
 
 
 def test_deaugment_errors():

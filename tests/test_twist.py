@@ -188,8 +188,10 @@ def test_twist_conjugates_under_fan_automorphism():
 
 
 def test_twisted_system_is_reflection_image():
-    # twisting a whole sequence induces the Weyl reflection on its toric system
-    from torsys.isometry import Root, reflection
+    # twisting a whole sequence induces the Weyl reflection on its toric
+    # system, which is why certify_full builds twisted systems unchecked
+    from torsys.isometry import Root, orbit, reflection, weyl_group
+    from torsys.systems import standard_system
 
     x = rank5.surface()
     seq = rank5.printed_sequence()
@@ -197,3 +199,16 @@ def test_twisted_system_is_reflection_image():
     out = from_sequence(twist_sequence(t, seq))
     s = reflection(Root(t.curve_class))
     assert out == s.apply_system(from_sequence(seq))
+    twisted = 0
+    for system in orbit(standard_system(x), weyl_group(x)):
+        if not is_exceptional(system):
+            continue
+        for ray in minus_two_rays(x):
+            t = TwistByCurve(x, ray)
+            try:
+                out = twist_sequence(t, to_sequence(system))
+            except NotALineBundle:
+                continue
+            assert from_sequence(out) == reflection(Root(t.curve_class)).apply_system(system)
+            twisted += 1
+    assert twisted == 88
