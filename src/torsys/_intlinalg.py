@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -13,13 +14,11 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:

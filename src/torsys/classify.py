@@ -172,7 +172,11 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     Directly constructible sequences certify with no twists.  Otherwise a
     breadth-first search composes up to ``max_depth`` twists at invariant
     (-2)-rays (skipping compositions that leave the line-bundle world) and
-    certifies on the first constructible image.  A miss returns "unknown".
+    certifies on the first constructible image.  A miss returns "unknown";
+    its last note names the stop: "depth cap reached" when sequences at depth
+    ``max_depth`` were left untwisted, or "twist closure exhausted at depth
+    d" when no twist gives a new sequence beyond depth d, so the search ends
+    there whatever ``max_depth`` is.
     Only the input is validated: a twist acts on Pic as the reflection at the
     root C, a K-isometry, so twisted systems are built unchecked.
     """
@@ -195,7 +199,9 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         )
     frontier: list[tuple[LineBundleSequence, tuple[TwistApplication, ...]]] = [(seq, ())]
     seen = {seq.key()}
-    for _ in range(max_depth):
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
         new_frontier = []
         for current, trail in frontier:
             for t in twists:
@@ -220,6 +226,10 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                     )
                 new_frontier.append((twisted, trail + (application,)))
         frontier = new_frontier
+    if frontier:
+        notes += ("depth cap reached",)
+    else:
+        notes += (f"twist closure exhausted at depth {depth - 1}",)
     return FullnessCertificate("unknown", (), None, None, notes)
 
 

@@ -169,13 +169,26 @@ def reflection(root: Root) -> Isometry:
 
 def weyl_group(x: ToricSurface, size_cap: int = 10**6) -> tuple[Isometry, ...]:
     """Closure of the root reflections under composition, by breadth-first
-    multiplication with matrix dedup.  Deterministic order.
+    multiplication.  Deterministic order.
 
-    The reflection at a root r is the rank-1 map I + r (r^T G) on Pic
-    coordinates (G the Gram matrix), so each product s_r h = h + r (r^T G h)
-    is formed on raw matrix tuples, changing only the rows where r is
-    non-zero.  Products are deduplicated on the raw matrix, and each new
-    element is validated once by the Isometry constructor.
+    Elements are told apart by their image w(v) of one regular vector v, an
+    integer vector with r.v != 0 for every root r: the first
+    (1, b, b^2, ...) with b = 2, 3, ... that qualifies.  This is sound.  W
+    fixes K, and K^perp is negative definite (K^2 = 10 - rho > 0, Hodge
+    index), so W acts on K^perp as a finite reflection group with an
+    invariant inner product, whose reflections are exactly the reflections
+    at roots.  By Steinberg's theorem the stabiliser of the projection of v
+    to K^perp is generated by the reflections fixing it, and there are none,
+    as r.v != 0 for every root.  So w(v) = v only for the identity, and
+    w -> w(v) is injective.
+
+    The reflection at a root r is u -> u + (r.u) r, so the image under a
+    product is s_r(w(v)) = w(v) + (r.w(v)) r: one dot product per element
+    and generator.  Only a new image gets its matrix, the rank-1 update
+    s_r h = h + r (r^T G h) on Pic coordinates (G the Gram matrix), and each
+    new element is validated once by the Isometry constructor.  Products are
+    met in the same order as under deduplication on whole matrices, so the
+    element order is that of the plain matrix closure.
     """
     if not 3 <= x.pic_rank <= 9:
         raise RankOutOfRange(f"Weyl groups require 3 <= rho <= 9, got {x.pic_rank}")
@@ -188,26 +201,41 @@ def weyl_group(x: ToricSurface, size_cap: int = 10**6) -> tuple[Isometry, ...]:
         gens.setdefault(
             min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc))
         )
+    v = _regular_vector([rg for _, rg in gens.values()])
     ident = identity_isometry(x)
-    elements: dict[tuple, Isometry] = {ident.matrix: ident}
-    frontier = [ident.matrix]
+    elements: dict[tuple[int, ...], Isometry] = {v: ident}
+    frontier = [(ident.matrix, v)]
     while frontier:
-        new: list[tuple] = []
-        for h in frontier:
-            cols = tuple(zip(*h))
+        new: list[tuple[tuple, tuple[int, ...]]] = []
+        for h, hv in frontier:
             for rc, rg in gens.values():
-                w = tuple(sum(map(mul, rg, col)) for col in cols)
+                pair = sum(map(mul, rg, hv))
+                image = tuple(a + pair * b for a, b in zip(hv, rc))
+                if image in elements:
+                    continue
+                w = tuple(sum(map(mul, rg, col)) for col in zip(*h))
                 prod = tuple(
                     row if ri == 0 else tuple(hij + ri * wj for hij, wj in zip(row, w))
                     for ri, row in zip(rc, h)
                 )
-                if prod not in elements:
-                    elements[prod] = Isometry(x, prod)
-                    new.append(prod)
-                    if len(elements) > size_cap:
-                        raise SizeCapExceeded(f"group exceeded {size_cap} elements")
+                elements[image] = Isometry(x, prod)
+                new.append((prod, image))
+                if len(elements) > size_cap:
+                    raise SizeCapExceeded(f"group exceeded {size_cap} elements")
         frontier = new
     return tuple(elements.values())
+
+
+def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The first (1, b, b^2, ...), b = 2, 3, ..., that every row of
+    ``pairings`` (a root r as the linear form v -> r.v) meets non-trivially.
+    Each row is a non-zero integer polynomial in b, so some b qualifies."""
+    b = 2
+    while True:
+        v = tuple(b**i for i in range(len(pairings[0])))
+        if all(sum(map(mul, rg, v)) for rg in pairings):
+            return v
+        b += 1
 
 
 def all_k_isometries(x: ToricSurface, node_cap: int = 10**6) -> tuple[Isometry, ...]:

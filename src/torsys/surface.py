@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import add, mul
 
 from . import _intlinalg
 
@@ -134,6 +135,7 @@ class ToricSurface:
             raise InvalidFan(f"sum of self-intersections of {selfints} is not 12 - 3n")
         self.selfints = selfints
         self.rays = rays
+        self._blow_downs: dict[int, BlowupRelation] = {}
         self._gram: tuple[tuple[int, ...], ...] | None = None
         self._autos: tuple["FanAutomorphism", ...] | None = None
 
@@ -175,8 +177,16 @@ class ToricSurface:
         return DivisorClass(self, coeffs)
 
     def divisor(self, i: int) -> "DivisorClass":
-        """Class of the invariant prime divisor D_i (0-based ray index)."""
-        return DivisorClass(self, tuple(1 if j == i % self.n else 0 for j in range(self.n)))
+        """Class of the invariant prime divisor D_i (0-based ray index); the
+        same object on every call."""
+        return self._divisors[i % self.n]
+
+    @functools.cached_property
+    def _divisors(self) -> tuple["DivisorClass", ...]:
+        n = self.n
+        return tuple(
+            DivisorClass(self, tuple(int(j == i) for j in range(n))) for i in range(n)
+        )
 
     def zero_class(self) -> "DivisorClass":
         return DivisorClass(self, (0,) * self.n)
@@ -267,7 +277,12 @@ class ToricSurface:
 
     def blow_down(self, i: int) -> "BlowupRelation":
         """Contract the (-1)-ray at index i; the result keeps the remaining
-        rays in order, with both neighbours increased by one."""
+        rays in order, with both neighbours increased by one.  The relation
+        is built and round-trip checked once per (surface, ray) and cached:
+        surfaces are interned and immutable."""
+        rel = self._blow_downs.get(i)
+        if rel is not None:
+            return rel
         n = self.n
         if self.selfints[i] != -1:
             raise NotContractible(f"ray {i} has self-intersection {self.selfints[i]}")
@@ -281,6 +296,7 @@ class ToricSurface:
         rel = BlowupRelation(below=below, above=self, ray_index=i)
         if rel.below._insert_ray(i).above.selfints != self.selfints:
             raise InternalInconsistency(f"blowing {below} up again does not give {self}")
+        self._blow_downs[i] = rel
         return rel
 
     # good bases ---------------------------------------------------------------
@@ -404,11 +420,11 @@ class DivisorClass:
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number; bilinear in D_i . D_j = a_i, 1, 0."""
         self.surface._require_same(other.surface)
-        n = self.surface.n
-        a = self.surface.selfints
         c, e = self.coeffs, other.coeffs
+        # row i of the intersection matrix meets e in a_i e_i + e_{i-1} + e_{i+1}
+        neighbours = map(add, e[-1:] + e[:-1], e[1:] + e[:1])
         return sum(
-            c[i] * (a[i] * e[i] + e[(i - 1) % n] + e[(i + 1) % n]) for i in range(n)
+            map(mul, c, map(add, map(mul, self.surface.selfints, e), neighbours))
         )
 
     def square(self) -> int:
@@ -501,7 +517,7 @@ class BlowupRelation:
             if cc[e] != 0:
                 raise InternalInconsistency("the relation shift left an exceptional coefficient")
         del cc[e]
-        return self.below.divisor_class(cc)
+        return DivisorClass(self.below, tuple(cc))
 
 
 def _solve_primitive(vx: int, vy: int, t: int) -> Vec2:

@@ -11,8 +11,9 @@ blow-up by splitting one entry around the exceptional class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
-from .cohomology import vanishes_totally
+from .cohomology import _vanishes_cached
 from .surface import (
     BlowupRelation,
     DivisorClass,
@@ -276,15 +277,23 @@ def deaugment(
 def is_exceptional(system: ToricSystem) -> bool:
     """No backwards morphisms: every consecutive segment sum A_i + ... + A_j
     with j < n has totally vanishing cohomology of its negative.  (The segment
-    equals E_{j+1} - E_i for the associated bundle sequence.)"""
+    equals E_{j+1} - E_i for the associated bundle sequence.)
+
+    The partial sums S_0 = 0, S_k = A_1 + ... + A_k (k < n) are formed once,
+    on reduced coefficient tuples, and -(A_i + ... + A_j) is the tuple
+    S_{i-1} - S_j.  Reduced representatives (first two coefficients 0) form a
+    subgroup, so every such difference is already reduced and is looked up in
+    the memo of :func:`torsys.cohomology.vanishes_totally` under its own key.
+    Segments are tested in the order i ascending, then j ascending.
+    """
+    x = system.surface
     entries = system.entries
-    n = len(entries)
-    for i in range(n - 1):
-        seg = entries[i]
-        for j in range(i, n - 1):
-            if j > i:
-                seg = seg + entries[j]
-            if not vanishes_totally(-seg):
+    sums = [(0,) * x.n]
+    for a in entries[:-1]:
+        sums.append(tuple(map(add, sums[-1], a.reduced())))
+    for i, start in enumerate(sums[:-1]):
+        for end in sums[i + 1 :]:
+            if not _vanishes_cached(x.selfints, tuple(map(sub, start, end))):
                 return False
     return True
 

@@ -128,6 +128,22 @@ def test_certify_full_unknown_at_depth_zero():
     cert = certify_full(seq, max_depth=0)
     assert cert.verdict == "unknown"
     assert cert.notes  # search limits recorded
+    assert cert.notes[-1] == "depth cap reached"
+
+
+def test_certify_full_stops_on_exhausted_twist_closure():
+    # P^2 has no (-2)-curve, so no twist applies and the search ends at
+    # depth 0 whatever the cap; a loop run to the cap would take minutes
+    import time
+
+    p2 = from_selfints((1, 1, 1))
+    line = p2.divisor(0)
+    seq = to_sequence(ToricSystem.validate(p2, [line, line, line]))
+    start = time.perf_counter()
+    cert = certify_full(seq, max_depth=10**9)
+    assert time.perf_counter() - start < 10
+    assert cert.verdict == "unknown"
+    assert cert.notes[-1] == "twist closure exhausted at depth 0"
 
 
 def test_orbit_report_rank5():

@@ -101,6 +101,15 @@ def test_certify_full_command(capsys):
     assert data["witness"] is not None
 
 
+def test_certify_full_command_exhausted_closure(capsys):
+    # no twist applies on P^2, so a huge depth cap costs nothing
+    seq = '{"surface":[1,1,1],"entries":[[0,0,0],[1,0,0],[2,0,0]]}'
+    code, data = run_json(capsys, "certify-full", "--sequence", seq, "--max-depth", "20000000")
+    assert code == 1
+    assert data["verdict"] == "unknown"
+    assert data["notes"][-1] == "twist closure exhausted at depth 0"
+
+
 def test_orbit_report_command(capsys):
     code, data = run_json(capsys, "orbit-report", "--surface", "[-1,-1,-1,0,0]")
     assert code == 0

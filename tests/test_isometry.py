@@ -19,10 +19,15 @@ import rank5
 RANK3 = (-1, -1, -1, 0, 0)
 RANK4 = (-1, -1, -1, -1, -1, -1)
 RANK6 = (-2, -1, -2, -1, -2, -1, -2, -1)
-# sha256 of repr([g.matrix for g in weyl_group(TV(RANK6))]), taken from the
-# closure by full matrix products; pins the element order, and with it the
+# sha256 of repr([g.matrix for g in weyl_group(x)]), taken from the closure
+# deduplicated on whole matrices; pins the element order, and with it the
 # order of every orbit built from the group
-RANK6_WEYL_DIGEST = "2b679cb22b9b23180d1aba17d172992d28b82c7cad95a0a2b84311eb66023561"
+WEYL_DIGESTS = {
+    RANK3: "5e38c74236568f05c7edcc4c90b0cd43c7636cfd1206c6e8760cd9af173c99da",
+    RANK4: "ad71d6f6bf82099a7e732904fc3f82a68ea9b284bb68e33d9afbce357f5e32aa",
+    rank5.SELFINTS: "59a7e6b68a2a5ebaf6fdc812c955fb5cd16255a7da1f4f0d555fe2b9fe381960",
+    RANK6: "2b679cb22b9b23180d1aba17d172992d28b82c7cad95a0a2b84311eb66023561",
+}
 
 
 @pytest.mark.parametrize(
@@ -185,7 +190,12 @@ def test_twist_class_is_weyl_reflection():
             assert twist_class(t, c) == s.apply(c)
 
 
-def test_weyl_group_rank6_validates_each_element_once(monkeypatch):
+@pytest.mark.parametrize(
+    "selfints,order",
+    [(RANK3, 2), (RANK4, 12), (rank5.SELFINTS, 120), (RANK6, 1920)],
+    ids=["rank3", "rank4", "rank5", "rank6"],
+)
+def test_weyl_group_validates_each_element_once(monkeypatch, selfints, order):
     import hashlib
 
     from torsys.isometry import Isometry
@@ -198,10 +208,10 @@ def test_weyl_group_rank6_validates_each_element_once(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(Isometry, "__post_init__", counting)
-    w = weyl_group(from_selfints(RANK6))
-    assert len(w) == 1920
+    w = weyl_group(from_selfints(selfints))
+    assert len(w) == order
     assert len(built) == len(w)
     assert set(built) == {g.matrix for g in w}
     digest = hashlib.sha256(repr([g.matrix for g in w]).encode()).hexdigest()
-    assert digest == RANK6_WEYL_DIGEST
+    assert digest == WEYL_DIGESTS[selfints]
 

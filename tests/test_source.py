@@ -4,14 +4,33 @@ import pathlib
 import torsys
 
 
-def test_no_assert_statements_in_src():
-    # assert vanishes under python -O, so invariants in the library raise
-    found = []
+def _src_nodes():
     for path in sorted(pathlib.Path(torsys.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_no_assert_statements_in_src():
+    # assert vanishes under python -O, so invariants in the library raise
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _src_nodes()
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_floats_in_src():
+    # arithmetic is exact: no float literal and no call to float()
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _src_nodes()
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        )
+    ]
     assert found == []

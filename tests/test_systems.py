@@ -210,6 +210,128 @@ def test_is_exceptional_examples():
     assert not is_exceptional(hirzebruch_system("Atilde", 4, -2))
 
 
+def _is_exceptional_reference(system):
+    """The object-sum loop is_exceptional used before it moved to reduced
+    prefix sums: each segment sum is built from DivisorClass objects."""
+    from torsys.cohomology import vanishes_totally
+
+    entries = system.entries
+    n = len(entries)
+    for i in range(n - 1):
+        seg = entries[i]
+        for j in range(i, n - 1):
+            if j > i:
+                seg = seg + entries[j]
+            if not vanishes_totally(-seg):
+                return False
+    return True
+
+
+def _hirzebruch_examples():
+    p2 = from_selfints((1, 1, 1))
+    line = p2.divisor(0)
+    yield ToricSystem.validate(p2, [line, line, line])
+    for r in range(4):
+        for i in range(-4, 5):
+            yield hirzebruch_system("A", r, i)
+    for r, i in ((0, 3), (2, 0), (2, 1), (4, -2)):
+        yield hirzebruch_system("Atilde", r, i)
+
+
+def test_is_exceptional_matches_object_sum_reference():
+    from torsys.isometry import orbit, weyl_group
+
+    flags = [is_exceptional(s) for s in _hirzebruch_examples()]
+    assert flags == [_is_exceptional_reference(s) for s in _hirzebruch_examples()]
+    assert flags.count(False) == 2
+    # every orbit system at ranks 4, 5 and 6, exceptional or not
+    exceptional = {}
+    for selfints in [(-1, -1, -1, -1, -1, -1), rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)]:
+        x = from_selfints(selfints)
+        systems = orbit(standard_system(x), weyl_group(x))
+        flags = [is_exceptional(s) for s in systems]
+        assert flags == [_is_exceptional_reference(s) for s in systems]
+        exceptional[x.pic_rank] = (flags.count(True), len(flags))
+    assert exceptional == {4: (12, 12), 5: (98, 120), 6: (1416, 1920)}
+    # every de-augmentation of the rank-5 orbit
+    x = rank5.surface()
+    subs = [
+        deaugment(s, position, ray)[0]
+        for s in orbit(standard_system(x), weyl_group(x))
+        for ray in x.contractible_rays()
+        for position, entry in enumerate(s.entries)
+        if entry == x.divisor(ray)
+    ]
+    flags = [is_exceptional(s) for s in subs]
+    assert flags == [_is_exceptional_reference(s) for s in subs]
+    assert len(subs) == 300
+
+
+_UNCHECKED_IMAGES_SCRIPT = r"""
+import sys
+
+from torsys import from_selfints
+from torsys.isometry import orbit, weyl_group
+from torsys.systems import (
+    BadIntersection, ToricSystem, _differences, deaugment, standard_system, to_sequence,
+)
+from torsys.twist import NotALineBundle, TwistByCurve, minus_two_rays, twist_sequence
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+images = deaugmented = twisted = 0
+for s in orbit(standard_system(x), weyl_group(x))[::48]:
+    ToricSystem.validate(x, s.entries)
+    images += 1
+    for ray in x.contractible_rays():
+        for position, entry in enumerate(s.entries):
+            if entry == x.divisor(ray):
+                sub, _ = deaugment(s, position, ray)
+                ToricSystem.validate(sub.surface, sub.entries)
+                deaugmented += 1
+    for ray in minus_two_rays(x):
+        try:
+            out = twist_sequence(TwistByCurve(x, ray), to_sequence(s))
+        except NotALineBundle:
+            continue
+        ToricSystem.validate(x, _differences(out))
+        twisted += 1
+print(images, deaugmented, twisted)
+# the checks themselves survive -O: swapping two entries breaks the pattern
+e = s.entries
+try:
+    ToricSystem.validate(x, (e[1], e[0]) + e[2:])
+    print("accepted")
+except BadIntersection:
+    print("rejected")
+"""
+
+
+def test_unchecked_images_validate_under_optimize():
+    # orbit images, de-augmentations and twisted systems are built without
+    # validate; under python -O a fixed rank-6 sample must still pass it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNCHECKED_IMAGES_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts, verdict = proc.stdout.split("\n")[:2]
+    assert counts == "40 38 75"
+    assert verdict == "rejected"
+
+
 def test_classify_hirzebruch():
     c = classify_hirzebruch(hirzebruch_system("A", 3, 0))
     assert (c.kind, c.r, c.i) == ("A", 3, 0)
