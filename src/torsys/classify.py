@@ -11,6 +11,7 @@ certificate records the twists plus a replayable de-augmentation witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .isometry import RankOutOfRange, orbit, weyl_group
 from .surface import DivisorClass, FanAutomorphism, InternalInconsistency, ToricSurface
@@ -19,14 +20,14 @@ from .systems import (
     LineBundleSequence,
     ToricSystem,
     _augment_at_ray,
-    _differences,
     classify_hirzebruch,
     deaugment,
     from_sequence,
     is_exceptional,
     standard_system,
+    to_sequence,
 )
-from .twist import NotALineBundle, TwistByCurve, minus_two_rays, twist_cases, twist_sequence
+from .twist import minus_two_rays
 
 
 class NotExceptionalInput(ValueError):
@@ -45,7 +46,10 @@ class DeaugmentationStep:
     surface: ToricSurface
     ray: int
     position: int
-    exceptional: DivisorClass
+
+    @property
+    def exceptional(self) -> DivisorClass:
+        return self.surface.divisor(self.ray)
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
                 )
             sub_witness = _search(sub, memo)
             if sub_witness is not None:
-                step = DeaugmentationStep(x, ray, position, r)
+                step = DeaugmentationStep(x, ray, position)
                 witness = ConstructibilityWitness(
                     sub_witness.base_system,
                     sub_witness.base_class,
@@ -177,8 +181,10 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     ``max_depth`` were left untwisted, or "twist closure exhausted at depth
     d" when no twist gives a new sequence beyond depth d, so the search ends
     there whatever ``max_depth`` is.
-    Only the input is validated: a twist acts on Pic as the reflection at the
-    root C, a K-isometry, so twisted systems are built unchecked.
+    The search runs on toric systems: :func:`from_sequence` converts and
+    validates the input once, :func:`_twist` twists systems, and
+    :func:`to_sequence` converts a certified image back.  The bundle-level
+    twist, ``torsys.twist.twist_sequence``, is what certificates replay against.
     """
     memo = _Memo()
     system = from_sequence(seq)
@@ -187,8 +193,8 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     witness = _search(system, memo)
     if witness is not None:
         return FullnessCertificate("full", (), witness, seq)
-    x = seq.surface
-    twists = [TwistByCurve(x, ray) for ray in minus_two_rays(x)]
+    x = system.surface
+    curves = [(ray, x.divisor(ray)) for ray in minus_two_rays(x)]
     notes = (
         f"twist search depth <= {max_depth}",
         "forward twists at torus-invariant (-2)-curves only",
@@ -197,40 +203,57 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         notes += (
             "constructibility is defined relative to Hirzebruch bases; the 3-ray surface has none",
         )
-    frontier: list[tuple[LineBundleSequence, tuple[TwistApplication, ...]]] = [(seq, ())]
-    seen = {seq.key()}
+    frontier: list[tuple[ToricSystem, tuple[TwistApplication, ...]]] = [(system, ())]
+    seen = {system.key()}
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         new_frontier = []
         for current, trail in frontier:
-            for t in twists:
-                try:
-                    twisted = twist_sequence(t, current)
-                except NotALineBundle:
+            for ray, c in curves:
+                twisted = _twist(c, current)
+                if twisted is None:
                     continue
-                key = twisted.key()
+                image, cases = twisted
+                key = image.key()
                 if key in seen:
                     continue
                 seen.add(key)
-                application = TwistApplication(t.curve_ray, twist_cases(t, current))
-                twisted_system = ToricSystem(x, _differences(twisted))
-                if not is_exceptional(twisted_system):
+                if not is_exceptional(image):
                     raise InternalInconsistency(
                         "a twist of an exceptional sequence went non-exceptional"
                     )
-                witness = _search(twisted_system, memo)
+                applied = trail + (TwistApplication(ray, cases),)
+                witness = _search(image, memo)
                 if witness is not None:
                     return FullnessCertificate(
-                        "full", trail + (application,), witness, twisted
+                        "full", applied, witness, to_sequence(image)
                     )
-                new_frontier.append((twisted, trail + (application,)))
+                new_frontier.append((image, applied))
         frontier = new_frontier
     if frontier:
         notes += ("depth cap reached",)
     else:
         notes += (f"twist closure exhausted at depth {depth - 1}",)
     return FullnessCertificate("unknown", (), None, None, notes)
+
+
+def _twist(c: DivisorClass, system: ToricSystem) -> tuple[ToricSystem, tuple[int, ...]] | None:
+    """The twist at the (-2)-curve of class c as (image, cases), or None when it
+    leaves the line bundles.  With d_i = C.A_i, the cases (0, d_1, d_1 + d_2,
+    ...) over the first n - 1 entries are the C.E_i of :func:`to_sequence`, all
+    0 or 1 when admissible.  The image A_i + d_i C is the reflection at the root
+    C, a K-isometry, so it is built unchecked.  On a system from
+    :func:`from_sequence` its coefficients are those of
+    ``from_sequence(twist_sequence(...))``: its partial sums are the
+    E_k + (C.E_k) C that ``twist_sequence`` stores, and as C.K = 0 its last
+    entry is -K minus the others, coefficient by coefficient."""
+    dots = [c.dot(a) for a in system.entries]
+    cases = tuple(accumulate(dots[:-1], initial=0))
+    if any(k not in (0, 1) for k in cases):
+        return None
+    entries = tuple(a if d == 0 else a + d * c for a, d in zip(system.entries, dots))
+    return ToricSystem(system.surface, entries), cases
 
 
 @dataclass(frozen=True)

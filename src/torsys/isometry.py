@@ -18,13 +18,16 @@ from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
 from .systems import ToricSystem
 
+# |W(E7)| is about 2.9 million, so Picard rank 8 is refused
+WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
+
 
 class RankOutOfRange(ValueError):
     """Picard rank outside the range this operation supports."""
 
 
 class SizeCapExceeded(RuntimeError):
-    """Group closure or search grew past the configured cap."""
+    """Group closure or search grew past its cap."""
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,7 @@ def reflection(root: Root) -> Isometry:
     return Isometry(x, tuple(zip(*cols)))
 
 
-def weyl_group(x: ToricSurface, size_cap: int = 10**6) -> tuple[Isometry, ...]:
+def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
     """Closure of the root reflections under composition, by breadth-first
     multiplication.  Deterministic order.
 
@@ -220,8 +223,8 @@ def weyl_group(x: ToricSurface, size_cap: int = 10**6) -> tuple[Isometry, ...]:
                 )
                 elements[image] = Isometry(x, prod)
                 new.append((prod, image))
-                if len(elements) > size_cap:
-                    raise SizeCapExceeded(f"group exceeded {size_cap} elements")
+                if len(elements) > WEYL_MAX_ELEMENTS:
+                    raise SizeCapExceeded(f"group exceeded {WEYL_MAX_ELEMENTS} elements")
         frontier = new
     return tuple(elements.values())
 
@@ -238,7 +241,7 @@ def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:
         b += 1
 
 
-def all_k_isometries(x: ToricSurface, node_cap: int = 10**6) -> tuple[Isometry, ...]:
+def all_k_isometries(x: ToricSurface) -> tuple[Isometry, ...]:
     """Every integer automorphism of Pic preserving the pairing and fixing K,
     by backtracking over images of the basis classes [D_3], ..., [D_n].
 
@@ -263,8 +266,8 @@ def all_k_isometries(x: ToricSurface, node_cap: int = 10**6) -> tuple[Isometry, 
     def rec(col: int):
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise SizeCapExceeded(f"isometry search exceeded {node_cap} nodes")
+        if nodes > ISOMETRY_MAX_NODES:
+            raise SizeCapExceeded(f"isometry search exceeded {ISOMETRY_MAX_NODES} nodes")
         if col == rho:
             mat = tuple(zip(*(c.coords() for c in chosen)))
             if _intlinalg.mat_vec(mat, k_coords) == k_coords:

@@ -51,15 +51,13 @@ class EvenTerminalHirzebruch(ValueError):
 def normalize(selfints) -> tuple[int, ...]:
     """Lexicographically minimal representative over all rotations and the
     reflection of a cyclic sequence.  Used for surface equality and memo keys."""
-    s = tuple(int(a) for a in selfints)
-    n = len(s)
-    best = s
-    for seq in (s, s[::-1]):
-        for k in range(n):
-            cand = seq[k:] + seq[:k]
-            if cand < best:
-                best = cand
-    return best
+    return _least_rotation(tuple(int(a) for a in selfints))
+
+
+def _least_rotation(seq: tuple) -> tuple:
+    """The lexicographically least rotation of ``seq`` or of its mirror."""
+    images = (s[k:] + s[:k] for s in (seq, seq[::-1]) for k in range(len(seq)))
+    return min(images, default=seq)
 
 
 def _det2(u: Vec2, v: Vec2) -> int:

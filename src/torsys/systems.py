@@ -20,6 +20,7 @@ from .surface import (
     InternalInconsistency,
     InvalidFan,
     ToricSurface,
+    _least_rotation,
     from_selfints,
 )
 
@@ -111,14 +112,9 @@ class ToricSystem:
     def canonical_key(self) -> tuple:
         """Identity up to rotation and mirror: the least entry-coordinate
         tuple over the 2n images of :meth:`symmetry_images`."""
-        coords = tuple(a.coords() for a in self.entries)
         return (
             self.surface.selfints,
-            min(
-                seq[k:] + seq[:k]
-                for seq in (coords, coords[::-1])
-                for k in range(len(seq))
-            ),
+            _least_rotation(tuple(a.coords() for a in self.entries)),
         )
 
     def __eq__(self, other) -> bool:
@@ -180,16 +176,11 @@ def from_sequence(seq) -> ToricSystem:
     sequence is not exceptional-shaped."""
     if not isinstance(seq, LineBundleSequence):
         seq = LineBundleSequence.of(seq)
-    return ToricSystem.validate(seq.surface, _differences(seq))
-
-
-def _differences(seq: LineBundleSequence) -> tuple[DivisorClass, ...]:
-    """The entries of :func:`from_sequence`, unchecked."""
     diffs = [seq.entries[i + 1] - seq.entries[i] for i in range(len(seq) - 1)]
     last = -seq.surface.canonical_class()
     for a in diffs:
         last = last - a
-    return tuple(diffs) + (last,)
+    return ToricSystem.validate(seq.surface, diffs + [last])
 
 
 def to_sequence(system: ToricSystem) -> LineBundleSequence:

@@ -5,6 +5,9 @@ by D -> D + (C.D) C, which is exactly the Weyl reflection at the root C.  On
 actual line bundles the twist stays a line bundle only when C.D = 0 (bundle
 unchanged) or C.D = 1 (bundle becomes D + C); every other intersection number
 leaves the line-bundle world.
+
+This is the bundle-level definition that certificates replay against; the
+fullness search in :mod:`torsys.classify` twists toric systems instead.
 """
 
 from __future__ import annotations

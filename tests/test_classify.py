@@ -146,6 +146,72 @@ def test_certify_full_stops_on_exhausted_twist_closure():
     assert cert.notes[-1] == "twist closure exhausted at depth 0"
 
 
+@pytest.mark.parametrize(
+    "selfints", [rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)], ids=["rank5", "rank6"]
+)
+def test_system_twist_matches_twist_sequence(selfints):
+    # certify_full twists toric systems; twist_sequence / twist_cases are the
+    # bundle-level definition, and both must give the same certificates
+    from torsys.classify import _twist
+    from torsys.twist import (
+        NotALineBundle,
+        TwistByCurve,
+        minus_two_rays,
+        twist_cases,
+        twist_sequence,
+    )
+
+    x = from_selfints(selfints)
+    checked = admissible = 0
+    for s in orbit(standard_system(x), weyl_group(x)):
+        if not is_exceptional(s):
+            continue
+        # the system certify_full searches from: its last entry is -K minus
+        # the others, coefficient by coefficient
+        seq = to_sequence(s)
+        system = from_sequence(seq)
+        for ray in minus_two_rays(x):
+            t = TwistByCurve(x, ray)
+            twisted = _twist(x.divisor(ray), system)
+            checked += 1
+            try:
+                want = twist_sequence(t, seq)
+            except NotALineBundle:
+                assert twisted is None
+                continue
+            image, cases = twisted
+            assert cases == twist_cases(t, seq)
+            got = to_sequence(image)
+            assert got == want
+            assert [e.coeffs for e in got.entries] == [e.coeffs for e in want.entries]
+            assert [a.coeffs for a in image.entries] == [
+                a.coeffs for a in from_sequence(want).entries
+            ]
+            admissible += 1
+    assert (checked, admissible) == {7: (196, 88), 8: (5664, 2688)}[x.n]
+
+
+# sha256 of the sorted-key JSON list of certificate_to_json for the 536
+# non-constructible rank-6 orbit systems at max_depth=3, taken when
+# certify_full still searched over bundle sequences
+RANK6_CERTIFICATES_DIGEST = "f63b1458294180e46d874cb9a20f203c9c97506c5313045bd5954387ccfa2043"
+
+
+def test_rank6_certificates_are_pinned():
+    import hashlib
+    import json
+
+    from torsys.cli import certificate_to_json
+
+    x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+    systems = [s for s in orbit(standard_system(x), weyl_group(x)) if is_exceptional(s)]
+    nonconstructible = [s for s in systems if is_constructible(s) is None]
+    assert len(nonconstructible) == 536
+    certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
+    blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+
+
 def test_orbit_report_rank5():
     rep = orbit_report(rank5.surface())
     assert rep.total == 120

@@ -101,6 +101,21 @@ def test_certify_full_command(capsys):
     assert data["witness"] is not None
 
 
+def test_certify_full_final_round_trip(capsys):
+    # the certified final sequence is directly constructible
+    seq = {
+        "surface": {"selfints": list(rank5.SELFINTS)},
+        "entries": [list(e.coeffs) for e in rank5.printed_sequence().entries],
+    }
+    code, data = run_json(capsys, "certify-full", "--sequence", json.dumps(seq))
+    assert code == 0 and len(data["twists"]) == 1
+    code, again = run_json(capsys, "certify-full", "--sequence", json.dumps(data["final"]))
+    assert code == 0
+    assert again["verdict"] == "full"
+    assert again["twists"] == []
+    assert again["final"] == data["final"]
+
+
 def test_certify_full_command_exhausted_closure(capsys):
     # no twist applies on P^2, so a huge depth cap costs nothing
     seq = '{"surface":[1,1,1],"entries":[[0,0,0],[1,0,0],[2,0,0]]}'

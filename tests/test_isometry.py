@@ -68,14 +68,17 @@ def test_roots_rank_out_of_range():
         roots(x)
 
 
-def test_size_caps():
+def test_size_caps(monkeypatch):
+    import torsys.isometry
     from torsys.isometry import SizeCapExceeded
 
     x = from_selfints(rank5.SELFINTS)
+    monkeypatch.setattr(torsys.isometry, "WEYL_MAX_ELEMENTS", 10)
+    monkeypatch.setattr(torsys.isometry, "ISOMETRY_MAX_NODES", 10)
     with pytest.raises(SizeCapExceeded):
-        weyl_group(x, size_cap=10)
+        weyl_group(x)
     with pytest.raises(SizeCapExceeded):
-        all_k_isometries(x, node_cap=10)
+        all_k_isometries(x)
 
 
 def test_reflection_properties():

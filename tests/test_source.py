@@ -34,3 +34,20 @@ def test_no_floats_in_src():
         )
     ]
     assert found == []
+
+
+def test_classify_imports_only_minus_two_rays_from_twist():
+    # certificates are replayed through torsys.twist, so the fullness search
+    # in classify.py must not share its twist code
+    path = pathlib.Path(torsys.__file__).parent / "classify.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.module in ("twist", "torsys.twist"):
+                imported.extend(names)
+            elif node.module in (None, "torsys") and "twist" in names:
+                imported.append("twist")
+        elif isinstance(node, ast.Import):
+            imported.extend(a.name for a in node.names if a.name == "torsys.twist")
+    assert imported == ["minus_two_rays"]

@@ -271,16 +271,17 @@ _UNCHECKED_IMAGES_SCRIPT = r"""
 import sys
 
 from torsys import from_selfints
+from torsys.classify import _twist
 from torsys.isometry import orbit, weyl_group
 from torsys.systems import (
-    BadIntersection, ToricSystem, _differences, deaugment, standard_system, to_sequence,
+    BadIntersection, ToricSystem, deaugment, from_sequence, standard_system, to_sequence,
 )
 from torsys.twist import NotALineBundle, TwistByCurve, minus_two_rays, twist_sequence
 
 if not sys.flags.optimize:
     sys.exit("run me under python -O")
 x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
-images = deaugmented = twisted = 0
+images = deaugmented = twisted = reflected = 0
 for s in orbit(standard_system(x), weyl_group(x))[::48]:
     ToricSystem.validate(x, s.entries)
     images += 1
@@ -291,13 +292,18 @@ for s in orbit(standard_system(x), weyl_group(x))[::48]:
                 ToricSystem.validate(sub.surface, sub.entries)
                 deaugmented += 1
     for ray in minus_two_rays(x):
+        twisted_system = _twist(x.divisor(ray), s)
+        if twisted_system is not None:
+            image, _ = twisted_system
+            ToricSystem.validate(x, image.entries)
+            reflected += 1
         try:
             out = twist_sequence(TwistByCurve(x, ray), to_sequence(s))
         except NotALineBundle:
             continue
-        ToricSystem.validate(x, _differences(out))
+        from_sequence(out)  # validates
         twisted += 1
-print(images, deaugmented, twisted)
+print(images, deaugmented, twisted, reflected)
 # the checks themselves survive -O: swapping two entries breaks the pattern
 e = s.entries
 try:
@@ -309,8 +315,9 @@ except BadIntersection:
 
 
 def test_unchecked_images_validate_under_optimize():
-    # orbit images, de-augmentations and twisted systems are built without
-    # validate; under python -O a fixed rank-6 sample must still pass it
+    # orbit images, de-augmentations and twisted systems (the system twists
+    # of certify_full, and twisted sequences) are built without validate;
+    # under python -O a fixed rank-6 sample must still pass it
     import os
     import pathlib
     import subprocess
@@ -328,7 +335,7 @@ def test_unchecked_images_validate_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     counts, verdict = proc.stdout.split("\n")[:2]
-    assert counts == "40 38 75"
+    assert counts == "40 38 75 75"
     assert verdict == "rejected"
 
 
