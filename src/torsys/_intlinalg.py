@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -49,27 +48,16 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_exact(a: Matrix, b) -> tuple[Fraction, ...]:
-    """Solve a x = b over the rationals; raises ValueError if a is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
-
 def solve_integral(a: Matrix, b) -> tuple[int, ...]:
-    """Solve a x = b and require an integer solution."""
-    x = solve_exact(a, b)
-    if any(f.denominator != 1 for f in x):
-        raise ValueError(f"no integral solution of {a} x = {b}")
-    return tuple(int(f) for f in x)
+    """Solve a x = b by Cramer's rule and require an integer solution; raises
+    ValueError if a is singular or the solution is not integral."""
+    d = det(a)
+    if d == 0:
+        raise ValueError("singular matrix")
+    x = []
+    for i in range(len(a)):
+        di = det(tuple(row[:i] + (bi,) + row[i + 1 :] for row, bi in zip(a, b)))
+        if di % d != 0:
+            raise ValueError(f"no integral solution of {a} x = {b}")
+        x.append(di // d)
+    return tuple(x)

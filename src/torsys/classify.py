@@ -146,9 +146,10 @@ def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
     canon = system.canonical_key()
     if canon in memo.false_keys:
         return None
+    reduced = [entry.reduced() for entry in system.entries]
     for ray in x.contractible_rays():
-        r = x.divisor(ray)
-        for position, entry in enumerate(system.entries):
+        r = x.divisor(ray).reduced()
+        for position, entry in enumerate(reduced):
             if entry != r:
                 continue
             sub, _ = deaugment(system, position, ray)
@@ -272,10 +273,12 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
     """Apply the whole K-isometry (= Weyl) group to the standard system and
     classify every image; non-constructible ones are paired up under fan
     automorphisms, whose images are built unchecked: a fan automorphism's
-    pullback preserves the pairing and K."""
-    if not 3 <= x.pic_rank <= 5:
+    pullback preserves the pairing and K.  Each pair (i, j) records the first
+    non-identity automorphism, in :meth:`fan_automorphisms` order, that maps
+    system i to system j; pairs are listed by i, then j."""
+    if not 3 <= x.pic_rank <= 6:
         raise RankOutOfRange(
-            f"orbit reports support Picard rank 3..5, got {x.pic_rank}"
+            f"orbit reports support Picard rank 3..6, got {x.pic_rank}"
         )
     systems = orbit(standard_system(x), weyl_group(x))
     exceptional = [s for s in systems if is_exceptional(s)]
@@ -283,17 +286,17 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
     nonconstructible = [
         s for s in exceptional if _search(s, memo) is None
     ]
+    index = {s.key(): j for j, s in enumerate(nonconstructible)}
     pairing = []
     autos = [f for f in x.fan_automorphisms() if not f.is_identity()]
     for i, a in enumerate(nonconstructible):
-        for j, b in enumerate(nonconstructible):
-            if i == j:
-                continue
-            for f in autos:
-                image = ToricSystem(x, tuple(f.apply(e) for e in a.entries))
-                if image == b:
-                    pairing.append((i, j, f))
-                    break
+        first: dict[int, FanAutomorphism] = {}
+        for f in autos:
+            image = ToricSystem(x, tuple(f.apply(e) for e in a.entries))
+            j = index.get(image.key())
+            if j is not None and j != i:
+                first.setdefault(j, f)
+        pairing.extend((i, j, first[j]) for j in sorted(first))
     return OrbitReport(
         surface=x,
         total=len(systems),

@@ -14,9 +14,7 @@ h^1).  The two paths share no code and cross-validate each other.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .surface import DivisorClass, InternalInconsistency, from_selfints
 
@@ -52,38 +50,48 @@ H0_MAX_COLUMNS = 4_000_000
 
 
 class H0TooLarge(ValueError):
-    """The h0 scan box, bounded by the pairwise intersections of the facet
-    lines, spans more than H0_MAX_COLUMNS columns."""
+    """The section polytope's x-extent, rounded outwards to integers, spans
+    more than H0_MAX_COLUMNS columns."""
 
 
 def h0(d: DivisorClass) -> int:
-    """Number of characters m with <m, v_i> >= -c_i for all i.  A scan box
-    of more than H0_MAX_COLUMNS columns raises H0TooLarge before any scan."""
+    """Number of characters m with <m, v_i> >= -c_i for all i.  A section
+    polytope wider than H0_MAX_COLUMNS columns raises H0TooLarge before any
+    scan; an empty one gives 0 without a scan."""
     return _h0_cached(d.surface.selfints, d.reduced())
 
 
 @functools.lru_cache(maxsize=200_000)
 def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+    """Scan the columns between the leftmost and rightmost vertex of the
+    section polytope.  The fan is complete, so the polytope is bounded, and
+    when it is not empty each vertex is a pairwise facet-line intersection
+    (num_x, num_y) / det that satisfies every inequality.  With no such
+    point the polytope is empty."""
     x = from_selfints(selfints)
     rays = x.rays
     n = x.n
-    # Any vertex of the (bounded) section polytope solves two of the facet
-    # equations, so the pairwise line intersections bound it.
-    xs: list[Fraction] = []
+    vertices_x: list[tuple[int, int]] = []  # (num_x, det) with det > 0
     for i in range(n):
         vix, viy = rays[i]
+        ci = coeffs[i]
         for j in range(i + 1, n):
             vjx, vjy = rays[j]
             det = vix * vjy - viy * vjx
             if det == 0:
                 continue
-            xs.append(Fraction(-coeffs[i] * vjy + coeffs[j] * viy, det))
-    if not xs:
+            cj = coeffs[j]
+            num_x = cj * viy - ci * vjy
+            num_y = ci * vjx - cj * vix
+            if det < 0:
+                det, num_x, num_y = -det, -num_x, -num_y
+            # <m, v_k> >= -c_k for m = (num_x, num_y) / det, scaled by det > 0
+            if all(num_x * vx + num_y * vy >= -c * det for (vx, vy), c in zip(rays, coeffs)):
+                vertices_x.append((num_x, det))
+    if not vertices_x:
         return 0
-    lo = min(xs)
-    hi = max(xs)
-    x_min = lo.numerator // lo.denominator
-    x_max = -((-hi.numerator) // hi.denominator)
+    x_min = min(num // det for num, det in vertices_x)
+    x_max = max(-(-num // det) for num, det in vertices_x)
     if x_max - x_min + 1 > H0_MAX_COLUMNS:
         raise H0TooLarge(
             f"h0 would scan {x_max - x_min + 1} columns, more than {H0_MAX_COLUMNS}"
@@ -215,9 +223,10 @@ def _oracle_box(
     rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
 ) -> tuple[int, int, int, int]:
     """(x_lo, x_hi, y_lo, y_hi): the bounding box of the pairwise intersection
-    points of the lines <m, v_i> = -c_i, widened by 2."""
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
+    points of the lines <m, v_i> = -c_i, widened by 2.  Each point is
+    (num_x, num_y) / det, rounded outwards by integer floor division."""
+    xs: list[tuple[int, int]] = []
+    ys: list[tuple[int, int]] = []
     n = len(rays)
     for i in range(n):
         (ax, ay), ci = rays[i], coeffs[i]
@@ -225,11 +234,11 @@ def _oracle_box(
             (bx, by), cj = rays[j], coeffs[j]
             det = ax * by - ay * bx
             if det != 0:
-                xs.append(Fraction(cj * ay - ci * by, det))
-                ys.append(Fraction(ci * bx - cj * ax, det))
+                xs.append((cj * ay - ci * by, det))
+                ys.append((ci * bx - cj * ax, det))
     return (
-        math.floor(min(xs)) - 2,
-        math.ceil(max(xs)) + 2,
-        math.floor(min(ys)) - 2,
-        math.ceil(max(ys)) + 2,
+        min(num // det for num, det in xs) - 2,
+        max(-(-num // det) for num, det in xs) + 2,
+        min(num // det for num, det in ys) - 2,
+        max(-(-num // det) for num, det in ys) + 2,
     )

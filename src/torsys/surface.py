@@ -193,17 +193,6 @@ class ToricSurface:
         """K_X = -(D_1 + ... + D_n)."""
         return DivisorClass(self, (-1,) * self.n)
 
-    def intersection(self, i: int, j: int) -> int:
-        """D_i . D_j on the invariant divisors."""
-        n = self.n
-        i %= n
-        j %= n
-        if i == j:
-            return self.selfints[i]
-        if j == (i + 1) % n or j == (i - 1) % n:
-            return 1
-        return 0
-
     def relation_vector(self, m: Vec2) -> tuple[int, ...]:
         """The principal divisor of the character m: (<m, v_1>, ..., <m, v_n>)."""
         return tuple(m[0] * vx + m[1] * vy for vx, vy in self.rays)
@@ -498,32 +487,30 @@ class BlowupRelation:
 
     def pushdown(self, cls: DivisorClass) -> DivisorClass:
         self.above._require_same(cls.surface)
-        if cls.dot(self.exceptional_class) != 0:
+        e = self.ray_index
+        n = self.above.n
+        c = cls.coeffs
+        # E^2 = -1 and E meets only its two neighbours, so c.E = 0 reads:
+        if c[(e - 1) % n] + c[(e + 1) % n] != c[e]:
             raise ValueError(
                 "class does not lie in the orthogonal complement of the exceptional class"
             )
-        e = self.ray_index
-        cc = list(cls.coeffs)
-        t = cc[e]
-        if t != 0:
-            # shift by a relation so the exceptional coefficient vanishes;
-            # the exceptional ray is primitive, so <m, v_e> = t is solvable
-            vx, vy = self.above.rays[e]
-            p, q = _solve_primitive(vx, vy, t)
-            rel = self.above.relation_vector((p, q))
-            cc = [c - r for c, r in zip(cc, rel)]
-            if cc[e] != 0:
-                raise InternalInconsistency("the relation shift left an exceptional coefficient")
-        del cc[e]
-        return DivisorClass(self.below, tuple(cc))
+        # shift by c[e] relations so the exceptional coefficient vanishes
+        t = c[e]
+        shifted = [ci - t * ri for ci, ri in zip(c, self._unit_relation)]
+        del shifted[e]
+        return DivisorClass(self.below, tuple(shifted))
 
-
-def _solve_primitive(vx: int, vy: int, t: int) -> Vec2:
-    """Some integer (p, q) with p*vx + q*vy = t, for gcd(vx, vy) = 1."""
-    g, p, q = _xgcd(vx, vy)
-    if g != 1:
-        raise InternalInconsistency(f"ray ({vx}, {vy}) is not primitive")
-    return p * t, q * t
+    @functools.cached_property
+    def _unit_relation(self) -> tuple[int, ...]:
+        """The relation vector of some m with <m, v_e> = 1, from the xgcd of
+        the exceptional ray."""
+        vx, vy = self.above.rays[self.ray_index]
+        _, p, q = _xgcd(vx, vy)
+        rel = self.above.relation_vector((p, q))
+        if rel[self.ray_index] != 1:
+            raise InternalInconsistency(f"ray ({vx}, {vy}) is not primitive")
+        return rel
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -256,6 +256,52 @@ def test_orbit_report_rank_out_of_range():
         orbit_report(from_selfints((1, 1, 1)))
     with pytest.raises(RankOutOfRange):
         orbit_report(from_selfints((2, 0, -2, 0)))
+    x = from_selfints((1, 1, 1))
+    for _ in range(6):
+        x = x.blow_up(0).above
+    assert x.pic_rank == 7
+    with pytest.raises(RankOutOfRange):
+        orbit_report(x)
+
+
+def test_orbit_report_rank6():
+    x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+    rep = orbit_report(x)
+    assert (rep.total, rep.exceptional_count, len(rep.nonconstructible)) == (1920, 1416, 536)
+    assert rep.automorphism_pairing
+    for i, j, f in rep.automorphism_pairing:
+        a, b = rep.nonconstructible[i], rep.nonconstructible[j]
+        assert i != j
+        assert tuple(f.apply(e) for e in a.entries) == b.entries
+
+
+def _quadratic_pairing(x, nonconstructible):
+    """For every ordered pair (i, j), i != j, the first non-identity fan
+    automorphism that maps system i to system j."""
+    autos = [f for f in x.fan_automorphisms() if not f.is_identity()]
+    pairing = []
+    for i, a in enumerate(nonconstructible):
+        for j, b in enumerate(nonconstructible):
+            if i == j:
+                continue
+            for f in autos:
+                if ToricSystem(x, tuple(f.apply(e) for e in a.entries)) == b:
+                    pairing.append((i, j, f))
+                    break
+    return pairing
+
+
+def test_orbit_report_pairing_equals_the_quadratic_scan():
+    from test_acceptance import _enumerate_blowups
+
+    pool = [s for s in _enumerate_blowups(7) if s.pic_rank == 5]
+    paired = 0
+    for x in pool:
+        rep = orbit_report(x)
+        want = _quadratic_pairing(x, rep.nonconstructible)
+        assert list(rep.automorphism_pairing) == want, x.selfints
+        paired += len(want)
+    assert paired > 0
 
 
 def test_search_path_validates_only_its_input(monkeypatch):

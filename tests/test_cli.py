@@ -54,6 +54,13 @@ def test_cohomology_h0_cap_exits_2(capsys):
     assert "H0TooLarge" in capsys.readouterr().err
 
 
+def test_cohomology_h0_scans_the_polytope_not_the_arrangement(capsys):
+    # h0 = 1, though two facet lines meet 10^7 columns away from the polytope
+    code, out = run(capsys, "cohomology", "--surface", "[1,0,-1,0]", "--class", "[0,0,10000000,0]")
+    assert code == 0
+    assert out.startswith("h = (1, 49999995000000, 0)")
+
+
 def test_check_system_command(capsys, tmp_path):
     system = {
         "surface": {"selfints": [1, 1, 1]},

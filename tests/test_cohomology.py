@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,89 @@ def test_h0_is_capped(monkeypatch):
     assert h0(p2.divisor_class((37, 0, 0))) == 38 * 39 // 2
     with pytest.raises(H0TooLarge):
         h0(p2.divisor_class((38, 0, 0)))
+
+
+def test_h0_of_an_empty_polytope_is_zero_without_a_scan(monkeypatch):
+    import torsys.cohomology
+
+    p2 = _p2()
+    monkeypatch.setattr(torsys.cohomology, "H0_MAX_COLUMNS", 1)
+    # the polytope of -(10^6 + 3)H is empty: no column is scanned or counted
+    assert h0(p2.divisor_class((-(10**6 + 3), 0, 0))) == 0
+    # the cap still applies to the polytope of (10^6 + 3)H, which is not empty
+    with pytest.raises(H0TooLarge):
+        h0(p2.divisor_class((10**6 + 3, 0, 0)))
+
+
+def _reference_h0(d):
+    """h0 as scanned over the bounding box of all pairwise facet-line
+    intersections in Fractions, whatever the polytope."""
+    rays, coeffs = d.surface.rays, d.reduced()
+    n = len(rays)
+    xs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0]
+            if det != 0:
+                xs.append(Fraction(-coeffs[i] * rays[j][1] + coeffs[j] * rays[i][1], det))
+    count = 0
+    for mx in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
+        lo, hi, feasible = [], [], True
+        for (vx, vy), c in zip(rays, coeffs):
+            rhs = -c - vx * mx  # need vy * my >= rhs
+            if vy > 0:
+                lo.append(-((-rhs) // vy))
+            elif vy < 0:
+                hi.append(rhs // vy)
+            elif rhs > 0:
+                feasible = False
+        if feasible and lo and hi and min(hi) >= max(lo):
+            count += min(hi) - max(lo) + 1
+    return count
+
+
+def _reference_oracle_box(rays, coeffs):
+    """The oracle's default box from Fraction intersection points."""
+    xs, ys = [], []
+    n = len(rays)
+    for i in range(n):
+        (ax, ay), ci = rays[i], coeffs[i]
+        for j in range(i + 1, n):
+            (bx, by), cj = rays[j], coeffs[j]
+            det = ax * by - ay * bx
+            if det != 0:
+                xs.append(Fraction(cj * ay - ci * by, det))
+                ys.append(Fraction(ci * bx - cj * ax, det))
+    return (
+        math.floor(min(xs)) - 2,
+        math.ceil(max(xs)) + 2,
+        math.floor(min(ys)) - 2,
+        math.ceil(max(ys)) + 2,
+    )
+
+
+def _seeded_blowup_classes(count, seed):
+    """``count`` classes with coefficients in [-6, 6] on P^2 or on a blow-up
+    of F_0..F_3 with at most 9 rays."""
+    rng = random.Random(seed)
+    starts = [(1, 1, 1)] + [(r, 0, -r, 0) for r in range(4)]
+    for _ in range(count):
+        x = from_selfints(rng.choice(starts))
+        for _ in range(rng.randint(0, 9 - x.n)):
+            x = x.blow_up(rng.randrange(x.n)).above
+        yield x.divisor_class([rng.randint(-6, 6) for _ in range(x.n)])
+
+
+def test_h0_and_oracle_box_equal_the_fraction_references():
+    from torsys.cohomology import _h0_cached, _oracle_box
+
+    for d in _seeded_blowup_classes(2000, seed=9):
+        rays, coeffs = d.surface.rays, d.reduced()
+        assert _h0_cached.__wrapped__(d.surface.selfints, coeffs) == _reference_h0(d), (
+            d.surface.selfints,
+            coeffs,
+        )
+        assert _oracle_box(rays, coeffs) == _reference_oracle_box(rays, coeffs)
 
 
 @st.composite

@@ -36,6 +36,19 @@ def test_no_floats_in_src():
     assert found == []
 
 
+def test_no_fractions_in_src():
+    # the only number type is int: no fractions import and no Fraction name
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _src_nodes()
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert found == []
+
+
 def test_classify_imports_only_minus_two_rays_from_twist():
     # certificates are replayed through torsys.twist, so the fullness search
     # in classify.py must not share its twist code

@@ -63,10 +63,16 @@ def test_pairing_basics():
     assert d(0).dot(d(3)) == 0
     h = d(0) + d(1) + d(2) + d(6)
     assert h.square() == 1
-    # bilinear expansion cross-check against the raw intersection matrix
+    # bilinear expansion cross-check against the raw intersection matrix:
+    # D_i . D_i = a_i, D_i . D_j = 1 for cyclic neighbours, 0 otherwise
+    def raw(i, j):
+        if i == j:
+            return x.selfints[i]
+        return 1 if (i - j) % 7 in (1, 6) else 0
+
     coeffs = (1, 1, 1, 0, 0, 0, 1)
     expanded = sum(
-        coeffs[i] * coeffs[j] * x.intersection(i, j)
+        coeffs[i] * coeffs[j] * raw(i, j)
         for i in range(7)
         for j in range(7)
     )
@@ -221,6 +227,101 @@ def test_pushdown_requires_orthogonality():
     r = rel.exceptional_class
     with pytest.raises(ValueError):
         rel.pushdown(r)
+
+
+def _reference_xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _reference_pushdown(rel, cls):
+    """Pushdown by a full dot product and an xgcd solve for each class."""
+    if cls.dot(rel.exceptional_class) != 0:
+        raise ValueError("class is not orthogonal to the exceptional class")
+    e = rel.ray_index
+    cc = list(cls.coeffs)
+    t = cc[e]
+    if t != 0:
+        vx, vy = rel.above.rays[e]
+        g, p, q = _reference_xgcd(vx, vy)
+        assert g == 1
+        cc = [c - r for c, r in zip(cc, rel.above.relation_vector((p * t, q * t)))]
+        assert cc[e] == 0
+    del cc[e]
+    return tuple(cc)
+
+
+def test_pushdown_equals_the_xgcd_reference_on_every_deaugmentation():
+    from torsys.isometry import orbit, weyl_group
+    from torsys.systems import standard_system
+
+    checked = 0
+    for selfints in [(-1, -1, -1, -1, -1, -1), rank5.SELFINTS]:
+        x = from_selfints(selfints)
+        for s in orbit(standard_system(x), weyl_group(x)):
+            n = len(s.entries)
+            for ray in x.contractible_rays():
+                rel = x.blow_down(ray)
+                for pos, entry in enumerate(s.entries):
+                    if entry != x.divisor(ray):
+                        continue
+                    merged = list(s.entries)
+                    merged[(pos - 1) % n] = merged[(pos - 1) % n] + entry
+                    merged[(pos + 1) % n] = merged[(pos + 1) % n] + entry
+                    del merged[pos]
+                    for a in merged:
+                        assert rel.pushdown(a).coeffs == _reference_pushdown(rel, a)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_pushdown_equals_the_xgcd_reference_on_random_classes():
+    # random classes, some of them projected into R-perp: pushdown raises
+    # exactly when the reference's dot product is non-zero, and agrees with
+    # the reference coefficient by coefficient otherwise
+    rng = random.Random(29)
+    raised = 0
+    for selfints in [(0, -1, 0, 1), (-1, -1, -1, 0, 0), rank5.SELFINTS, (-1,) * 6]:
+        x = from_selfints(selfints)
+        for i in x.contractible_rays():
+            rel = x.blow_down(i)
+            r = rel.exceptional_class
+            for k in range(60):
+                c = x.divisor_class([rng.randint(-6, 6) for _ in range(x.n)])
+                if k % 2:
+                    c = c + c.dot(r) * r
+                if c.dot(r) != 0:
+                    with pytest.raises(ValueError):
+                        rel.pushdown(c)
+                    raised += 1
+                else:
+                    assert rel.pushdown(c).coeffs == _reference_pushdown(rel, c)
+    assert raised > 100
+
+
+def test_solve_integral():
+    from torsys._intlinalg import det, mat_vec, solve_integral
+
+    rng = random.Random(31)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+        x = tuple(rng.randint(-9, 9) for _ in range(n))
+        if det(a) == 0:
+            with pytest.raises(ValueError):
+                solve_integral(a, mat_vec(a, x))
+        else:
+            assert solve_integral(a, mat_vec(a, x)) == x
+    with pytest.raises(ValueError):
+        solve_integral(((1, 2), (2, 4)), (1, 2))  # singular
+    with pytest.raises(ValueError):
+        solve_integral(((2, 0), (0, 1)), (1, 1))  # x_1 = 1/2
 
 
 def test_normalize():
