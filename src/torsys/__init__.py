@@ -56,6 +56,7 @@ from .isometry import (
     reflection,
     roots,
     weyl_group,
+    weyl_orbit,
 )
 from .twist import (
     NotALineBundle,

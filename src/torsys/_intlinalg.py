@@ -20,10 +20,6 @@ def mat_vec(a: Matrix, v) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def det(a: Matrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     n = len(a)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .isometry import RankOutOfRange, orbit, weyl_group
+from .isometry import RankOutOfRange, weyl_orbit
 from .surface import DivisorClass, FanAutomorphism, InternalInconsistency, ToricSurface
 from .systems import (
     HirzebruchSystemClass,
@@ -24,7 +24,6 @@ from .systems import (
     deaugment,
     from_sequence,
     is_exceptional,
-    standard_system,
     to_sequence,
 )
 from .twist import minus_two_rays
@@ -270,8 +269,8 @@ class OrbitReport:
 
 
 def orbit_report(x: ToricSurface) -> OrbitReport:
-    """Apply the whole K-isometry (= Weyl) group to the standard system and
-    classify every image; non-constructible ones are paired up under fan
+    """Classify every system of :func:`weyl_orbit`, the Weyl orbit of the
+    standard system; non-constructible ones are paired up under fan
     automorphisms, whose images are built unchecked: a fan automorphism's
     pullback preserves the pairing and K.  Each pair (i, j) records the first
     non-identity automorphism, in :meth:`fan_automorphisms` order, that maps
@@ -280,7 +279,7 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
         raise RankOutOfRange(
             f"orbit reports support Picard rank 3..6, got {x.pic_rank}"
         )
-    systems = orbit(standard_system(x), weyl_group(x))
+    systems = weyl_orbit(x)
     exceptional = [s for s in systems if is_exceptional(s)]
     memo = _Memo()
     nonconstructible = [

@@ -1,11 +1,13 @@
-"""K-isometries of the Picard lattice: roots, reflections, Weyl groups, and an
-independent brute-force enumeration of all pairing-and-K-preserving integer
-automorphisms.
+"""K-isometries of the Picard lattice: roots, reflections, the Weyl group,
+the Weyl orbit of the standard system, and an independent brute-force
+enumeration of all pairing-and-K-preserving integer automorphisms.
 
 For Picard rank 3 <= rho <= 9 the K-isometries form the finite Weyl group of
 the root set {D : D^2 = -2, D.K = 0}.  Roots are enumerated from the defining
 equations in a good basis, where K = -3H + R_1 + ... + R_l pins the linear
 constraint 3 d_0 = -sum d_i and the quadric gives sum d_i^2 = d_0^2 + 2.
+One reflection BFS moves the Pic basis for :func:`weyl_group` (validated
+matrices) and the standard system's entries for :func:`weyl_orbit` (no matrix).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import mul
 
 from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
-from .systems import ToricSystem
+from .systems import ToricSystem, standard_system
 
 # |W(E7)| is about 2.9 million, so Picard rank 8 is refused
 WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
@@ -52,7 +54,7 @@ class Isometry:
     def __post_init__(self):
         g = self.surface.gram_matrix()
         m = self.matrix
-        mt = _intlinalg.transpose(m)
+        mt = tuple(zip(*m))
         if _intlinalg.mat_mul(mt, _intlinalg.mat_mul(g, m)) != g:
             raise ValueError("matrix does not preserve the intersection pairing")
         k = self.surface.canonical_coords()
@@ -90,10 +92,6 @@ class Isometry:
 
     def __hash__(self) -> int:
         return hash((self.surface.selfints, self.matrix))
-
-
-def identity_isometry(x: ToricSurface) -> Isometry:
-    return Isometry(x, _intlinalg.identity(x.pic_rank))
 
 
 def _vectors_with_sum_and_square(
@@ -157,22 +155,15 @@ def roots(x: ToricSurface) -> tuple[Root, ...]:
 def reflection(root: Root) -> Isometry:
     """The reflection L' -> L' + (D.L') D at a root D; involutive K-isometry."""
     x = root.cls.surface
-    rho = x.pic_rank
     rc = root.cls.coords()
-    cols = []
-    for j in range(rho):
-        e = x.divisor(j + 2)
-        pair = root.cls.dot(e)
-        col = tuple(
-            (1 if i == j else 0) + pair * rc[i] for i in range(rho)
-        )
-        cols.append(col)
-    return Isometry(x, tuple(zip(*cols)))
+    rg = _intlinalg.mat_vec(x.gram_matrix(), rc)  # rg[j] = D.[D_{j+3}]
+    rows = (tuple(int(i == j) + ri * g for j, g in enumerate(rg)) for i, ri in enumerate(rc))
+    return Isometry(x, tuple(rows))
 
 
-def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
-    """Closure of the root reflections under composition, by breadth-first
-    multiplication.  Deterministic order.
+def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
+    """Breadth-first closure of the root reflections: yields the images w(u)
+    of the ``start`` coordinate vectors under each element w, identity first.
 
     Elements are told apart by their image w(v) of one regular vector v, an
     integer vector with r.v != 0 for every root r: the first
@@ -187,17 +178,16 @@ def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
 
     The reflection at a root r is u -> u + (r.u) r, so the image under a
     product is s_r(w(v)) = w(v) + (r.w(v)) r: one dot product per element
-    and generator.  Only a new image gets its matrix, the rank-1 update
-    s_r h = h + r (r^T G h) on Pic coordinates (G the Gram matrix), and each
-    new element is validated once by the Isometry constructor.  Products are
-    met in the same order as under deduplication on whole matrices, so the
-    element order is that of the plain matrix closure.
+    and generator.  Only a new element gets the images of ``start``, each
+    image stored once.  Products are met in the same order as under
+    deduplication on whole matrices, so the element order is that of the
+    plain matrix closure.
     """
     if not 3 <= x.pic_rank <= 9:
         raise RankOutOfRange(f"Weyl groups require 3 <= rho <= 9, got {x.pic_rank}")
     gram = x.gram_matrix()
     # r and -r give the same reflection; keep the first of each pair, with
-    # r^T G = (G r)^T as G is symmetric
+    # r.u = (G r)^T u as G is symmetric
     gens: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for r in roots(x):
         rc = r.cls.coords()
@@ -205,28 +195,46 @@ def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
             min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc))
         )
     v = _regular_vector([rg for _, rg in gens.values()])
-    ident = identity_isometry(x)
-    elements: dict[tuple[int, ...], Isometry] = {v: ident}
-    frontier = [(ident.matrix, v)]
+    seen = {v}
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def reflect(u, rc, rg):
+        pair = sum(map(mul, rg, u))
+        u = tuple(a + pair * b for a, b in zip(u, rc))
+        return vectors.setdefault(u, u)
+
+    frontier = [(v, start)]
+    yield start
     while frontier:
-        new: list[tuple[tuple, tuple[int, ...]]] = []
-        for h, hv in frontier:
+        new = []
+        for hv, images in frontier:
             for rc, rg in gens.values():
                 pair = sum(map(mul, rg, hv))
                 image = tuple(a + pair * b for a, b in zip(hv, rc))
-                if image in elements:
+                if image in seen:
                     continue
-                w = tuple(sum(map(mul, rg, col)) for col in zip(*h))
-                prod = tuple(
-                    row if ri == 0 else tuple(hij + ri * wj for hij, wj in zip(row, w))
-                    for ri, row in zip(rc, h)
-                )
-                elements[image] = Isometry(x, prod)
-                new.append((prod, image))
-                if len(elements) > WEYL_MAX_ELEMENTS:
+                seen.add(image)
+                if len(seen) > WEYL_MAX_ELEMENTS:
                     raise SizeCapExceeded(f"group exceeded {WEYL_MAX_ELEMENTS} elements")
+                moved = tuple(reflect(u, rc, rg) for u in images)
+                yield moved
+                new.append((image, moved))
         frontier = new
-    return tuple(elements.values())
+
+
+def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
+    """The Weyl group as validated matrices, whose columns are the images of
+    the Pic basis; equal rows are stored once."""
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    images = _reflection_closure(x, _intlinalg.identity(x.pic_rank))
+    return tuple(Isometry(x, tuple(rows.setdefault(r, r) for r in zip(*cols))) for cols in images)
+
+
+def weyl_orbit(x: ToricSurface) -> list[ToricSystem]:
+    """``orbit(standard_system(x), weyl_group(x))`` without forming the group;
+    the standard entries span Pic, so distinct elements give distinct images."""
+    images = _reflection_closure(x, tuple(a.coords() for a in standard_system(x).entries))
+    return [ToricSystem(x, tuple(map(x.class_from_coords, coords))) for coords in images]
 
 
 def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:

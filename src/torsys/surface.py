@@ -134,8 +134,6 @@ class ToricSurface:
         self.selfints = selfints
         self.rays = rays
         self._blow_downs: dict[int, BlowupRelation] = {}
-        self._gram: tuple[tuple[int, ...], ...] | None = None
-        self._autos: tuple["FanAutomorphism", ...] | None = None
 
     # basic numerology -----------------------------------------------------
 
@@ -207,11 +205,6 @@ class ToricSurface:
             c - c0 * vx - c1 * vy for c, (vx, vy) in zip(coeffs, self.rays)
         )
 
-    def class_coords(self, cls: "DivisorClass") -> tuple[int, ...]:
-        """Coordinates of a class in the Z-basis ([D_3], ..., [D_n]) of Pic."""
-        self._require_same(cls.surface)
-        return cls.reduced()[2:]
-
     def class_from_coords(self, coords) -> "DivisorClass":
         if len(coords) != self.pic_rank:
             raise ValueError(f"expected {self.pic_rank} coordinates")
@@ -219,15 +212,15 @@ class ToricSurface:
 
     def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Intersection matrix on the Pic basis ([D_3], ..., [D_n])."""
-        if self._gram is None:
-            basis = [self.divisor(i) for i in range(2, self.n)]
-            self._gram = tuple(
-                tuple(a.dot(b) for b in basis) for a in basis
-            )
         return self._gram
 
+    @functools.cached_property
+    def _gram(self) -> tuple[tuple[int, ...], ...]:
+        basis = [self.divisor(i) for i in range(2, self.n)]
+        return tuple(tuple(a.dot(b) for b in basis) for a in basis)
+
     def canonical_coords(self) -> tuple[int, ...]:
-        return self.class_coords(self.canonical_class())
+        return self.canonical_class().coords()
 
     def _require_same(self, other: "ToricSurface") -> None:
         if self.selfints != other.selfints:
@@ -339,8 +332,10 @@ class ToricSurface:
         the 2n dihedral index permutations can occur; each candidate map is
         pinned down by the images of v_1, v_2 and then verified on every ray.
         """
-        if self._autos is not None:
-            return self._autos
+        return self._autos
+
+    @functools.cached_property
+    def _autos(self) -> tuple["FanAutomorphism", ...]:
         n, rays = self.n, self.rays
         found = []
         for mirror in (False, True):
@@ -362,8 +357,7 @@ class ToricSurface:
                 ):
                     found.append(FanAutomorphism(self, mat, perm))
         found.sort(key=lambda f: f.ray_permutation)
-        self._autos = tuple(found)
-        return self._autos
+        return tuple(found)
 
 
 @functools.lru_cache(maxsize=None)

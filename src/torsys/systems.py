@@ -258,8 +258,8 @@ def deaugment(
             f"entry {position} is not the exceptional class of ray {ray}"
         )
     merged = list(system.entries)
-    merged[(position - 1) % n] = merged[(position - 1) % n] + r
-    merged[(position + 1) % n] = merged[(position + 1) % n] + r
+    for j in ((position - 1) % n, (position + 1) % n):  # + R, a unit vector
+        merged[j] = DivisorClass(x, tuple(map(add, merged[j].coeffs, r.coeffs)))
     del merged[position]
     rel = x.blow_down(ray)
     return ToricSystem(rel.below, tuple(rel.pushdown(a) for a in merged)), r

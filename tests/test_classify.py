@@ -324,6 +324,18 @@ def test_search_path_validates_only_its_input(monkeypatch):
         assert len(calls) == 1
 
 
+def test_orbit_report_builds_no_isometry(monkeypatch):
+    # weyl_orbit reflects the standard system's entries directly, so the
+    # classification layer never forms or validates a Weyl group matrix
+    from torsys.isometry import Isometry
+
+    built = []
+    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(self))
+    rep = orbit_report(rank5.surface())
+    assert rep.total == 120
+    assert built == []
+
+
 _TAMPER_SCRIPT = r"""
 import dataclasses, io, json, sys
 from contextlib import redirect_stdout

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from torsys import from_selfints
+from torsys import _intlinalg, from_selfints
 from torsys.isometry import (
+    Isometry,
     RankOutOfRange,
     all_k_isometries,
-    identity_isometry,
     orbit,
     reflection,
     roots,
     weyl_group,
+    weyl_orbit,
 )
 from torsys.systems import ToricSystem, standard_system
 
@@ -134,7 +135,7 @@ def test_weyl_equals_all_k_isometries(selfints):
 
 def test_all_k_isometries_contains_identity():
     x = from_selfints(RANK3)
-    assert identity_isometry(x) in set(all_k_isometries(x))
+    assert Isometry(x, _intlinalg.identity(x.pic_rank)) in set(all_k_isometries(x))
 
 
 def test_all_k_isometries_rank_cap():
@@ -218,3 +219,19 @@ def test_weyl_group_validates_each_element_once(monkeypatch, selfints, order):
     digest = hashlib.sha256(repr([g.matrix for g in w]).encode()).hexdigest()
     assert digest == WEYL_DIGESTS[selfints]
 
+
+@pytest.mark.parametrize(
+    "selfints",
+    [RANK3, RANK4, rank5.SELFINTS, RANK6],
+    ids=["rank3", "rank4", "rank5", "rank6"],
+)
+def test_weyl_orbit_equals_group_orbit(selfints):
+    # the reflection BFS over systems reproduces the orbit under the matrix
+    # group: the same systems, in the same order, with the same coefficients
+    x = from_selfints(selfints)
+    want = orbit(standard_system(x), weyl_group(x))
+    got = weyl_orbit(x)
+    assert got == want
+    assert [[a.coeffs for a in s.entries] for s in got] == [
+        [a.coeffs for a in s.entries] for s in want
+    ]

@@ -64,3 +64,20 @@ def test_classify_imports_only_minus_two_rays_from_twist():
         elif isinstance(node, ast.Import):
             imported.extend(a.name for a in node.names if a.name == "torsys.twist")
     assert imported == ["minus_two_rays"]
+
+
+def test_classify_imports_only_weyl_orbit_from_isometry():
+    # orbit_report works on systems, never on the matrix group: classify.py
+    # may not import weyl_group, orbit or Isometry
+    path = pathlib.Path(torsys.__file__).parent / "classify.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.module in ("isometry", "torsys.isometry"):
+                imported.extend(names)
+            elif node.module in (None, "torsys") and "isometry" in names:
+                imported.append("isometry")
+        elif isinstance(node, ast.Import):
+            imported.extend(a.name for a in node.names if a.name == "torsys.isometry")
+    assert sorted(imported) == ["RankOutOfRange", "weyl_orbit"]

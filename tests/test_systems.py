@@ -272,7 +272,7 @@ import sys
 
 from torsys import from_selfints
 from torsys.classify import _twist
-from torsys.isometry import orbit, weyl_group
+from torsys.isometry import orbit, weyl_group, weyl_orbit
 from torsys.systems import (
     BadIntersection, ToricSystem, deaugment, from_sequence, standard_system, to_sequence,
 )
@@ -303,7 +303,11 @@ for s in orbit(standard_system(x), weyl_group(x))[::48]:
             continue
         from_sequence(out)  # validates
         twisted += 1
-print(images, deaugmented, twisted, reflected)
+orbit_images = 0
+for image in weyl_orbit(x)[::48]:
+    ToricSystem.validate(x, image.entries)
+    orbit_images += 1
+print(images, deaugmented, twisted, reflected, orbit_images)
 # the checks themselves survive -O: swapping two entries breaks the pattern
 e = s.entries
 try:
@@ -315,8 +319,9 @@ except BadIntersection:
 
 
 def test_unchecked_images_validate_under_optimize():
-    # orbit images, de-augmentations and twisted systems (the system twists
-    # of certify_full, and twisted sequences) are built without validate;
+    # orbit images (under the matrix group and from weyl_orbit),
+    # de-augmentations and twisted systems (the system twists of
+    # certify_full, and twisted sequences) are built without validate;
     # under python -O a fixed rank-6 sample must still pass it
     import os
     import pathlib
@@ -335,7 +340,7 @@ def test_unchecked_images_validate_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     counts, verdict = proc.stdout.split("\n")[:2]
-    assert counts == "40 38 75 75"
+    assert counts == "40 38 75 75 40"
     assert verdict == "rejected"
 
 
