@@ -34,7 +34,8 @@ class NotExceptionalInput(ValueError):
 
 
 class InvalidWitness(ValueError):
-    """A constructibility witness does not replay to what it claims."""
+    """A constructibility witness or a fullness certificate does not replay
+    to what it claims."""
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,12 @@ class FullnessCertificate:
 
 
 class _Memo:
-    """Shared search memo.  Failures are cached up to rotation/mirror of the
-    sequence (the expensive exhaustive searches); successes are cached under
-    the exact sequence so stored witnesses replay bit-exactly."""
+    """Search memo of one top-level call.  Failures are cached up to
+    rotation/mirror of the system (the expensive exhaustive searches);
+    successes under :meth:`ToricSystem.key`, the reduced classes of the
+    entries, not their coefficients.  A hit replays to an equal system, but
+    its stored coefficients are those of the representative that was searched
+    first, so a memo shared across calls would change the certificates."""
 
     def __init__(self):
         self.false_keys: set = set()

@@ -15,6 +15,7 @@ import sys
 from .classify import (
     ConstructibilityWitness,
     FullnessCertificate,
+    InvalidWitness,
     OrbitReport,
     certify_full,
     orbit_report,
@@ -39,7 +40,7 @@ from .systems import (
     is_exceptional,
     to_sequence,
 )
-from .twist import minus_two_rays
+from .twist import TwistByCurve, minus_two_rays, twist_cases, twist_sequence
 
 RANK5_SELFINTS = (-2, -1, -1, -1, -1, -2, -1)
 
@@ -258,7 +259,7 @@ def _cmd_check_exceptional(args) -> int:
 
 
 def _cmd_check_constructible(args) -> int:
-    from .classify import InvalidWitness, is_constructible
+    from .classify import is_constructible
 
     system = _system_from_json(_load_json_arg(args.system))
     witness = is_constructible(system)
@@ -277,9 +278,27 @@ def _cmd_check_constructible(args) -> int:
     return 0
 
 
+def _replay_certificate(seq: LineBundleSequence, cert: FullnessCertificate) -> None:
+    """Raise InvalidWitness unless the recorded twists, applied to ``seq``
+    through :mod:`torsys.twist`, meet the recorded cases and end on the final
+    sequence, and the witness replays to that sequence's toric system."""
+    for t in cert.twists:
+        twist = TwistByCurve(seq.surface, t.curve_ray)
+        if twist_cases(twist, seq) != t.cases:
+            raise InvalidWitness(f"the twist at ray {t.curve_ray} does not meet its recorded cases")
+        seq = twist_sequence(twist, seq)
+    if cert.verdict != "full":
+        return
+    if seq != cert.final_sequence:
+        raise InvalidWitness("the recorded twists do not end on the final sequence")
+    if cert.witness is None or cert.witness.replay() != from_sequence(seq):
+        raise InvalidWitness("the witness does not replay to the final sequence")
+
+
 def _cmd_certify_full(args) -> int:
     seq = _sequence_from_json(_load_json_arg(args.sequence))
     cert = certify_full(seq, max_depth=args.max_depth)
+    _replay_certificate(seq, cert)
     payload = certificate_to_json(cert)
     lines = [f"verdict: {cert.verdict}"]
     if cert.twists:
@@ -337,9 +356,8 @@ def _cmd_reproduce_paper(args) -> int:
     for idx, system in enumerate(report.nonconstructible):
         seq = to_sequence(system)
         cert = certify_full(seq, max_depth=1)
+        _replay_certificate(seq, cert)
         ok = ok and cert.verdict == "full" and len(cert.twists) == 1
-        if cert.witness is not None:
-            ok = ok and cert.witness.replay() == from_sequence(cert.final_sequence)
         payload["certificates"].append(certificate_to_json(cert))
         lines.append("")
         lines.append(f"non-constructible system #{idx} over basis (D2,D3,D4,D5,D7):")

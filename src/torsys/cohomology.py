@@ -8,7 +8,10 @@ rational surface).
 Oracle: for every character m in a box, the rays where the section fails form
 a subcomplex of the boundary circle of the fan; its reduced cohomology gives
 the weight-m contribution (empty -> h^0, everything -> h^2, d arcs -> d - 1 to
-h^1).  The two paths share no code and cross-validate each other.
+h^1).  Along one column of the box each ray fails on a half-line, so the
+failing set is constant on at most n + 1 runs, and each run is weighed once
+and counted by its length.  The two paths share no code and cross-validate
+each other.
 """
 
 from __future__ import annotations
@@ -178,6 +181,15 @@ def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> Cohomol
     the line equations, so R_F lies in the convex hull of the pairwise
     intersection points.
 
+    The box is summed column by column, by runs.  Fix mx and let
+    rhs_i = -(vx_i mx + c_i); ray i fails exactly when vy_i my < rhs_i, a
+    half-line in my.  For vy_i > 0 it fails for my < ceil(rhs_i / vy_i), for
+    vy_i < 0 for my >= floor(rhs_i / vy_i) + 1, and for vy_i = 0 on the whole
+    column or nowhere.  So the failing set changes only at those at most n
+    breakpoints: it is constant on each run between consecutive ones inside
+    the column, and a run adds its length times the weight of its failing
+    set.  A column costs O(n log n) instead of O(height * n).
+
     The oracle keeps its own intersection loop and shares no code with the
     fast path.  A box of more than ORACLE_MAX_CHARACTERS characters raises
     OracleBoxTooLarge before any scan.
@@ -195,27 +207,46 @@ def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> Cohomol
             f"oracle box [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] holds {size} characters,"
             f" more than {ORACLE_MAX_CHARACTERS}"
         )
+    # characters per failing set, as a bit mask over the rays
+    runs: dict[int, int] = {}
+    lines = [(vx, vy, c, 1 << i) for i, ((vx, vy), c) in enumerate(zip(rays, coeffs))]
+    for mx in range(x_lo, x_hi + 1):
+        failing = 0
+        flips: dict[int, int] = {}  # my -> rays whose status changes there
+        for vx, vy, c, bit in lines:
+            # the ray fails at (mx, my) iff vy * my < rhs
+            rhs = -(vx * mx + c)
+            if vy > 0:
+                edge = -(-rhs // vy)  # fails for my < ceil(rhs / vy)
+                fails = y_lo < edge
+            elif vy < 0:
+                edge = rhs // vy + 1  # fails for my >= floor(rhs / vy) + 1
+                fails = y_lo >= edge
+            else:
+                edge = None  # the whole column or nowhere
+                fails = rhs > 0
+            if fails:
+                failing |= bit
+            if edge is not None and y_lo < edge <= y_hi:
+                flips[edge] = flips.get(edge, 0) ^ bit
+        start = y_lo
+        for edge in sorted(flips):
+            runs[failing] = runs.get(failing, 0) + edge - start
+            failing ^= flips[edge]
+            start = edge
+        runs[failing] = runs.get(failing, 0) + y_hi + 1 - start
     n = len(rays)
     everything = (1 << n) - 1
     h0_ = h1_ = h2_ = 0
-    for mx in range(x_lo, x_hi + 1):
-        # ray i fails at (mx, my) iff vy_i * my < -(vx_i * mx + c_i)
-        column = [
-            (vy, -(vx * mx + c), 1 << i) for i, ((vx, vy), c) in enumerate(zip(rays, coeffs))
-        ]
-        for my in range(y_lo, y_hi + 1):
-            failing = 0
-            for vy, rhs, bit in column:
-                if vy * my < rhs:
-                    failing |= bit
-            if failing == 0:
-                h0_ += 1
-            elif failing == everything:
-                h2_ += 1
-            else:
-                # an arc starts at each failing ray whose predecessor holds
-                predecessor_fails = ((failing << 1) | (failing >> (n - 1))) & everything
-                h1_ += (failing & ~predecessor_fails).bit_count() - 1
+    for failing, count in runs.items():
+        if failing == 0:
+            h0_ += count
+        elif failing == everything:
+            h2_ += count
+        else:
+            # an arc starts at each failing ray whose predecessor holds
+            predecessor_fails = ((failing << 1) | (failing >> (n - 1))) & everything
+            h1_ += count * ((failing & ~predecessor_fails).bit_count() - 1)
     return CohomologyDims(h0_, h1_, h2_)
 
 

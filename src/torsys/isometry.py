@@ -12,6 +12,7 @@ matrices) and the standard system's entries for :func:`weyl_orbit` (no matrix).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
@@ -234,7 +235,9 @@ def weyl_orbit(x: ToricSurface) -> list[ToricSystem]:
     """``orbit(standard_system(x), weyl_group(x))`` without forming the group;
     the standard entries span Pic, so distinct elements give distinct images."""
     images = _reflection_closure(x, tuple(a.coords() for a in standard_system(x).entries))
-    return [ToricSystem(x, tuple(map(x.class_from_coords, coords))) for coords in images]
+    # one class per distinct image: the orbit repeats few classes many times
+    classes = functools.cache(x.class_from_coords)
+    return [ToricSystem(x, tuple(map(classes, coords))) for coords in images]
 
 
 def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -296,13 +299,17 @@ def all_k_isometries(x: ToricSurface) -> tuple[Isometry, ...]:
 
 def orbit(system: ToricSystem, isometries) -> list[ToricSystem]:
     """Entrywise images w(A) for each w, deduplicated as exact sequences,
-    in the order the isometries are supplied."""
+    in the order the isometries are supplied.  Images are built unchecked, as
+    in :meth:`Isometry.apply_system`, with one class per distinct image."""
+    x = system.surface
+    start = [a.coords() for a in system.entries]
+    classes = functools.cache(x.class_from_coords)
     seen = set()
     out: list[ToricSystem] = []
     for w in isometries:
-        image = w.apply_system(system)
-        key = image.key()
-        if key not in seen:
-            seen.add(key)
-            out.append(image)
+        x._require_same(w.surface)
+        coords = tuple(_intlinalg.mat_vec(w.matrix, u) for u in start)
+        if coords not in seen:
+            seen.add(coords)
+            out.append(ToricSystem(x, tuple(map(classes, coords))))
     return out

@@ -369,6 +369,29 @@ blob = json.dumps({"surface": list(x.selfints),
 with redirect_stdout(io.StringIO()):
     code = main(["check-constructible", "--system", blob])
 print("cli exit", code)
+
+# certify-full replays its certificate: the genuine one passes, and forged
+# cases, a forged final sequence and a witness for another system exit 2
+import torsys.cli
+from torsys.classify import TwistApplication, certify_full, orbit_report
+from torsys.systems import to_sequence
+
+seq = to_sequence(orbit_report(x).nonconstructible[0])
+cert = certify_full(seq, max_depth=1)
+(twist,) = cert.twists
+forged_cases = dataclasses.replace(twist, cases=tuple(1 - c for c in twist.cases))
+blob = json.dumps({"surface": list(x.selfints),
+                   "entries": [list(e.coeffs) for e in seq.entries]})
+for forged in [
+    cert,
+    dataclasses.replace(cert, twists=(forged_cases,)),
+    dataclasses.replace(cert, final_sequence=seq),
+    dataclasses.replace(cert, witness=witness),
+]:
+    torsys.cli.certify_full = lambda seq, max_depth, forged=forged: forged
+    with redirect_stdout(io.StringIO()):
+        code = main(["certify-full", "--sequence", blob])
+    print("certify exit", code)
 """
 
 
@@ -389,5 +412,12 @@ def test_tampered_witness_rejected_under_optimize():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["replay rejected", "cli exit 2"]
-    assert "InvalidWitness" in proc.stderr
+    assert proc.stdout.split("\n")[:6] == [
+        "replay rejected",
+        "cli exit 2",
+        "certify exit 0",
+        "certify exit 2",
+        "certify exit 2",
+        "certify exit 2",
+    ]
+    assert proc.stderr.count("InvalidWitness") == 4

@@ -258,6 +258,82 @@ def test_h0_and_oracle_box_equal_the_fraction_references():
         assert _oracle_box(rays, coeffs) == _reference_oracle_box(rays, coeffs)
 
 
+def _reference_oracle(d, bound=None):
+    """The oracle summed character by character over its box."""
+    from torsys.cohomology import _oracle_box
+
+    rays, coeffs = d.surface.rays, d.reduced()
+    if bound is None:
+        x_lo, x_hi, y_lo, y_hi = _oracle_box(rays, coeffs)
+    else:
+        x_lo, x_hi, y_lo, y_hi = -bound, bound, -bound, bound
+    n = len(rays)
+    everything = (1 << n) - 1
+    h = [0, 0, 0]
+    for mx in range(x_lo, x_hi + 1):
+        # ray i fails at (mx, my) iff vy_i * my < -(vx_i * mx + c_i)
+        column = [
+            (vy, -(vx * mx + c), 1 << i) for i, ((vx, vy), c) in enumerate(zip(rays, coeffs))
+        ]
+        for my in range(y_lo, y_hi + 1):
+            failing = 0
+            for vy, rhs, bit in column:
+                if vy * my < rhs:
+                    failing |= bit
+            if failing == 0:
+                h[0] += 1
+            elif failing == everything:
+                h[2] += 1
+            else:
+                predecessor_fails = ((failing << 1) | (failing >> (n - 1))) & everything
+                h[1] += (failing & ~predecessor_fails).bit_count() - 1
+    return tuple(h), (x_lo, x_hi, y_lo, y_hi)
+
+
+def test_oracle_runs_equal_the_per_character_reference():
+    # the run-length oracle against the per-character sum, on default boxes
+    # (where steep lines leave some columns without a breakpoint) and on
+    # small explicit squares that clip the arrangement
+    kinds = set()
+
+    def check(d, bound=None):
+        want, (x_lo, x_hi, y_lo, y_hi) = _reference_oracle(d, bound)
+        assert tuple(oracle_cohomology_dims(d, bound=bound)) == want, (
+            d.surface.selfints,
+            d.coeffs,
+            bound,
+        )
+        # a ray fails on a half-line of each column, so its status changes
+        # inside the column exactly when it differs at the two ends; a flat
+        # ray never changes, so five kinds are all there are
+        if len(kinds) == 5:
+            return
+        for (vx, vy), c in zip(d.surface.rays, d.reduced()):
+            kind = "flat" if vy == 0 else "rising" if vy > 0 else "falling"
+            for mx in range(x_lo, x_hi + 1):
+                ends = {vx * mx + vy * my < -c for my in (y_lo, y_hi)}
+                kinds.add((kind, len(ends) == 2))
+
+    for d in _seeded_blowup_classes(2000, seed=31):
+        check(d)
+    for selfints in [(1, 1, 1), (0, 0, 0, 0), (1, 0, -1, 0), (2, 0, -2, 0), (3, 0, -3, 0)]:
+        x = from_selfints(selfints)
+        for c in itertools.product(range(-2, 3), repeat=x.n):
+            check(x.divisor_class(c))
+    for d in _seeded_blowup_classes(300, seed=32):
+        for bound in (0, 1, 2):
+            check(d, bound)
+    # flat rays, and rising and falling rays with a breakpoint inside a
+    # column and with none
+    assert kinds == {
+        ("flat", False),
+        ("rising", False),
+        ("rising", True),
+        ("falling", False),
+        ("falling", True),
+    }
+
+
 @st.composite
 def _blowup_classes(draw):
     """A class with coefficients in [-6, 6] on P^2 or on a blow-up of F_0..F_3

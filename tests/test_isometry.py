@@ -235,3 +235,28 @@ def test_weyl_orbit_equals_group_orbit(selfints):
     assert [[a.coeffs for a in s.entries] for s in got] == [
         [a.coeffs for a in s.entries] for s in want
     ]
+
+
+@pytest.mark.parametrize("builder", ["weyl_orbit", "orbit"])
+def test_orbits_build_one_class_per_distinct_image(monkeypatch, builder):
+    # 1920 systems of 8 entries at rank 6 repeat only 56 classes; each is
+    # built once, through a table local to the call
+    from torsys.surface import ToricSurface
+
+    x = from_selfints(RANK6)
+    group = weyl_group(x) if builder == "orbit" else None
+    calls = []
+    build = ToricSurface.class_from_coords
+
+    def counting(self, coords):
+        calls.append(coords)
+        return build(self, coords)
+
+    monkeypatch.setattr(ToricSurface, "class_from_coords", counting)
+    if builder == "orbit":
+        systems = orbit(standard_system(x), group)
+    else:
+        systems = weyl_orbit(x)
+    assert len(systems) == 1920
+    assert len(calls) == len({a for s in systems for a in s.entries}) == 56
+    assert len(set(calls)) == len(calls)

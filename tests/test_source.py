@@ -81,3 +81,27 @@ def test_classify_imports_only_weyl_orbit_from_isometry():
         elif isinstance(node, ast.Import):
             imported.extend(a.name for a in node.names if a.name == "torsys.isometry")
     assert sorted(imported) == ["RankOutOfRange", "weyl_orbit"]
+
+
+def test_cohomology_oracle_and_fast_path_share_no_code():
+    # the brute-force oracle cross-checks the fast path, so neither side may
+    # call or name a function of the other
+    path = pathlib.Path(torsys.__file__).parent / "cohomology.py"
+    functions = {
+        node.name: node
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    oracle = {"oracle_cohomology_dims", "_oracle_box"}
+    fast = {"h0", "_h0_cached", "cohomology_dims", "vanishes_totally", "_vanishes_cached"}
+
+    def names(function):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(functions[function])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+
+    assert oracle | fast <= set(functions)
+    assert {f: names(f) & fast for f in oracle} == {f: set() for f in oracle}
+    assert {f: names(f) & oracle for f in fast} == {f: set() for f in fast}
