@@ -12,40 +12,32 @@ import argparse
 import json
 import sys
 
-from .classify import (
-    ConstructibilityWitness,
-    FullnessCertificate,
-    InvalidWitness,
-    OrbitReport,
-    certify_full,
-    orbit_report,
-)
+from .classify import InvalidWitness, certify_full, orbit_report
 from .cohomology import (
     ORACLE_MAX_CHARACTERS,
     cohomology_dims,
     euler_char,
     oracle_cohomology_dims,
 )
-from .surface import (
-    DivisorClass,
-    FanAutomorphism,
-    ToricSurface,
-    coords_in_basis,
-    from_selfints,
+from .schema import (
+    certificate_to_json,
+    class_from_json,
+    entries_from_json,
+    replay_certificate,
+    report_to_json,
+    sequence_from_json,
+    surface_from_json,
+    system_from_json,
+    witness_to_json,
 )
-from .systems import (
-    LineBundleSequence,
-    ToricSystem,
-    from_sequence,
-    is_exceptional,
-    to_sequence,
-)
-from .twist import TwistByCurve, minus_two_rays, twist_cases, twist_sequence
+from .surface import coords_in_basis, from_selfints
+from .systems import ToricSystem, is_exceptional, to_sequence
+from .twist import minus_two_rays
 
 RANK5_SELFINTS = (-2, -1, -1, -1, -1, -2, -1)
 
 
-# ---------------------------------------------------------------- json helpers
+# ------------------------------------------------------------------ json input
 
 
 def _load_json_arg(text: str):
@@ -55,117 +47,6 @@ def _load_json_arg(text: str):
         return json.loads(text)
     with open(text, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _int_list(data, what: str) -> list[int]:
-    """A JSON array of integers; floats, bools and strings are rejected
-    rather than coerced."""
-    if not isinstance(data, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in data
-    ):
-        raise ValueError(f"{what} must be an array of integers, got {data!r}")
-    return data
-
-
-def _surface_from_json(data) -> ToricSurface:
-    if isinstance(data, dict):
-        data = data["selfints"]
-    return from_selfints(_int_list(data, "surface"))
-
-
-def _class_from_json(x: ToricSurface, data) -> DivisorClass:
-    if isinstance(data, dict):
-        data = data["coeffs"]
-    return x.divisor_class(_int_list(data, "class"))
-
-
-def _entries_from_json(data) -> tuple[ToricSurface, list[DivisorClass]]:
-    x = _surface_from_json(data["surface"])
-    return x, [x.divisor_class(_int_list(c, "entry")) for c in data["entries"]]
-
-
-def _system_from_json(data) -> ToricSystem:
-    return ToricSystem.validate(*_entries_from_json(data))
-
-
-def _sequence_from_json(data) -> LineBundleSequence:
-    return LineBundleSequence.of(_entries_from_json(data)[1])
-
-
-def surface_to_json(x: ToricSurface) -> dict:
-    return {"selfints": list(x.selfints)}
-
-
-def system_to_json(s: ToricSystem) -> dict:
-    return {
-        "surface": surface_to_json(s.surface),
-        "entries": [list(a.coeffs) for a in s.entries],
-    }
-
-
-def sequence_to_json(s: LineBundleSequence) -> dict:
-    return {
-        "surface": surface_to_json(s.surface),
-        "entries": [list(e.coeffs) for e in s.entries],
-    }
-
-
-def witness_to_json(w: ConstructibilityWitness) -> dict:
-    return {
-        "base": {
-            "system": system_to_json(w.base_system),
-            "kind": w.base_class.kind,
-            "r": w.base_class.r,
-            "i": w.base_class.i,
-        },
-        "steps": [
-            {
-                "surface": surface_to_json(st.surface),
-                "ray": st.ray,
-                "position": st.position,
-                "exceptional": list(st.exceptional.coeffs),
-            }
-            for st in w.steps
-        ],
-    }
-
-
-def certificate_to_json(c: FullnessCertificate) -> dict:
-    return {
-        "verdict": c.verdict,
-        "twists": [
-            {
-                "curve_ray": t.curve_ray,
-                "applied_positions": list(t.applied_positions),
-                "case_per_entry": list(t.cases),
-            }
-            for t in c.twists
-        ],
-        "witness": witness_to_json(c.witness) if c.witness else None,
-        "final": sequence_to_json(c.final_sequence) if c.final_sequence else None,
-        "notes": list(c.notes),
-    }
-
-
-def automorphism_to_json(f: FanAutomorphism) -> dict:
-    return {
-        "lattice_map": [list(r) for r in f.lattice_map],
-        "ray_permutation": list(f.ray_permutation),
-    }
-
-
-def report_to_json(r: OrbitReport) -> dict:
-    return {
-        "surface": surface_to_json(r.surface),
-        "total": r.total,
-        "exceptional": r.exceptional_count,
-        "constructible": r.constructible_count,
-        "nonconstructible": [system_to_json(s) for s in r.nonconstructible],
-        "automorphism_pairing": [
-            {"from": i, "to": j, "automorphism": automorphism_to_json(f)}
-            for i, j, f in r.automorphism_pairing
-        ],
-    }
 
 
 # ------------------------------------------------------------- text rendering
@@ -194,7 +75,7 @@ def _print(payload: dict, text: str, fmt: str):
 
 
 def _cmd_surface(args) -> int:
-    x = _surface_from_json(_load_json_arg(args.surface))
+    x = surface_from_json(_load_json_arg(args.surface))
     k = x.canonical_class()
     payload = {
         "selfints": list(x.selfints),
@@ -221,8 +102,8 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    x = _surface_from_json(_load_json_arg(args.surface))
-    d = _class_from_json(x, _load_json_arg(args.cls))
+    x = surface_from_json(_load_json_arg(args.surface))
+    d = class_from_json(x, _load_json_arg(args.cls))
     dims = cohomology_dims(d)
     payload = {
         "h0": dims.h0,
@@ -241,7 +122,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_check_system(args) -> int:
-    x, entries = _entries_from_json(_load_json_arg(args.system))
+    x, entries = entries_from_json(_load_json_arg(args.system))
     try:
         ToricSystem.validate(x, entries)
         _print({"valid": True}, "valid toric system", args.format)
@@ -252,7 +133,7 @@ def _cmd_check_system(args) -> int:
 
 
 def _cmd_check_exceptional(args) -> int:
-    system = _system_from_json(_load_json_arg(args.system))
+    system = system_from_json(_load_json_arg(args.system))
     flag = is_exceptional(system)
     _print({"exceptional": flag}, f"exceptional: {flag}", args.format)
     return 0 if flag else 1
@@ -261,7 +142,7 @@ def _cmd_check_exceptional(args) -> int:
 def _cmd_check_constructible(args) -> int:
     from .classify import is_constructible
 
-    system = _system_from_json(_load_json_arg(args.system))
+    system = system_from_json(_load_json_arg(args.system))
     witness = is_constructible(system)
     if witness is None:
         _print({"constructible": False}, "constructible: False", args.format)
@@ -278,27 +159,10 @@ def _cmd_check_constructible(args) -> int:
     return 0
 
 
-def _replay_certificate(seq: LineBundleSequence, cert: FullnessCertificate) -> None:
-    """Raise InvalidWitness unless the recorded twists, applied to ``seq``
-    through :mod:`torsys.twist`, meet the recorded cases and end on the final
-    sequence, and the witness replays to that sequence's toric system."""
-    for t in cert.twists:
-        twist = TwistByCurve(seq.surface, t.curve_ray)
-        if twist_cases(twist, seq) != t.cases:
-            raise InvalidWitness(f"the twist at ray {t.curve_ray} does not meet its recorded cases")
-        seq = twist_sequence(twist, seq)
-    if cert.verdict != "full":
-        return
-    if seq != cert.final_sequence:
-        raise InvalidWitness("the recorded twists do not end on the final sequence")
-    if cert.witness is None or cert.witness.replay() != from_sequence(seq):
-        raise InvalidWitness("the witness does not replay to the final sequence")
-
-
 def _cmd_certify_full(args) -> int:
-    seq = _sequence_from_json(_load_json_arg(args.sequence))
+    seq = sequence_from_json(_load_json_arg(args.sequence))
     cert = certify_full(seq, max_depth=args.max_depth)
-    _replay_certificate(seq, cert)
+    replay_certificate(seq, cert)
     payload = certificate_to_json(cert)
     lines = [f"verdict: {cert.verdict}"]
     if cert.twists:
@@ -312,7 +176,7 @@ def _cmd_certify_full(args) -> int:
 
 
 def _cmd_orbit_report(args) -> int:
-    x = _surface_from_json(_load_json_arg(args.surface))
+    x = surface_from_json(_load_json_arg(args.surface))
     report = orbit_report(x)
     payload = report_to_json(report)
     lines = [
@@ -356,7 +220,7 @@ def _cmd_reproduce_paper(args) -> int:
     for idx, system in enumerate(report.nonconstructible):
         seq = to_sequence(system)
         cert = certify_full(seq, max_depth=1)
-        _replay_certificate(seq, cert)
+        replay_certificate(seq, cert)
         ok = ok and cert.verdict == "full" and len(cert.twists) == 1
         payload["certificates"].append(certificate_to_json(cert))
         lines.append("")

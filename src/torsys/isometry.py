@@ -70,11 +70,6 @@ class Isometry:
             _intlinalg.mat_vec(self.matrix, cls.coords())
         )
 
-    def apply_system(self, system: ToricSystem) -> ToricSystem:
-        """Entrywise image, built unchecked: the constructor proved that the
-        map preserves the pairing and fixes K."""
-        return ToricSystem(system.surface, tuple(self.apply(a) for a in system.entries))
-
     def __mul__(self, other: "Isometry") -> "Isometry":
         """Composition self after other."""
         self.surface._require_same(other.surface)
@@ -299,8 +294,9 @@ def all_k_isometries(x: ToricSurface) -> tuple[Isometry, ...]:
 
 def orbit(system: ToricSystem, isometries) -> list[ToricSystem]:
     """Entrywise images w(A) for each w, deduplicated as exact sequences,
-    in the order the isometries are supplied.  Images are built unchecked, as
-    in :meth:`Isometry.apply_system`, with one class per distinct image."""
+    in the order the isometries are supplied.  Images are built unchecked,
+    with one class per distinct image: the :class:`Isometry` constructor
+    proved that each map preserves the pairing and fixes K."""
     x = system.surface
     start = [a.coords() for a in system.entries]
     classes = functools.cache(x.class_from_coords)

@@ -51,7 +51,7 @@ class EvenTerminalHirzebruch(ValueError):
 def normalize(selfints) -> tuple[int, ...]:
     """Lexicographically minimal representative over all rotations and the
     reflection of a cyclic sequence.  Used for surface equality and memo keys."""
-    return _least_rotation(tuple(int(a) for a in selfints))
+    return _least_rotation(tuple(selfints))
 
 
 def _least_rotation(seq: tuple) -> tuple:
@@ -96,14 +96,25 @@ def _winding_number(rays: tuple[Vec2, ...]) -> int:
     return crossings
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, refused unless every entry is exactly an
+    ``int``: a float, bool or string is never truncated or coerced."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be an array of integers, got {list(values)!r}")
+    return values
+
+
 @functools.lru_cache(maxsize=None)
 def _surface_from_selfints(selfints: tuple[int, ...]) -> "ToricSurface":
     return ToricSurface(selfints)
 
 
 def from_selfints(selfints) -> "ToricSurface":
-    """Build (and intern) the toric surface TV(a_1, ..., a_n)."""
-    return _surface_from_selfints(tuple(int(a) for a in selfints))
+    """Build (and intern) the toric surface TV(a_1, ..., a_n).  The entries
+    are checked before the cache lookup, because ``(True, True, True)``
+    hashes and compares equal to ``(1, 1, 1)``."""
+    return _surface_from_selfints(_ints(selfints, "self-intersections"))
 
 
 class ToricSurface:
@@ -118,7 +129,6 @@ class ToricSurface:
     """
 
     def __init__(self, selfints: tuple[int, ...]):
-        selfints = tuple(int(a) for a in selfints)
         if len(selfints) < 3:
             raise InvalidFan("a complete fan needs at least 3 rays")
         rays = _rays_from_selfints(selfints)
@@ -167,7 +177,7 @@ class ToricSurface:
     # divisor classes ------------------------------------------------------
 
     def divisor_class(self, coeffs) -> "DivisorClass":
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _ints(coeffs, "coefficients")
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         return DivisorClass(self, coeffs)
@@ -208,7 +218,7 @@ class ToricSurface:
     def class_from_coords(self, coords) -> "DivisorClass":
         if len(coords) != self.pic_rank:
             raise ValueError(f"expected {self.pic_rank} coordinates")
-        return DivisorClass(self, (0, 0) + tuple(int(c) for c in coords))
+        return DivisorClass(self, (0, 0) + tuple(coords))
 
     def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Intersection matrix on the Pic basis ([D_3], ..., [D_n])."""

@@ -201,7 +201,7 @@ def test_rank6_certificates_are_pinned():
     import hashlib
     import json
 
-    from torsys.cli import certificate_to_json
+    from torsys.schema import certificate_to_json
 
     x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
     systems = [s for s in orbit(standard_system(x), weyl_group(x)) if is_exceptional(s)]

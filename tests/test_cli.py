@@ -204,3 +204,43 @@ def test_flag_ranges_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+def _blown_up_p2(n):
+    """P^2 blown up at ray 0 until it has n rays, as a JSON surface."""
+    from torsys import from_selfints
+
+    x = from_selfints((1, 1, 1))
+    while x.n < n:
+        x = x.blow_up(0).above
+    return list(x.selfints)
+
+
+def test_surface_at_the_ray_cap_is_read(capsys):
+    from torsys.schema import MAX_RAYS
+
+    code, data = run_json(capsys, "surface", "--surface", json.dumps(_blown_up_p2(MAX_RAYS)))
+    assert code == 0 and data["k0_rank"] == MAX_RAYS
+
+
+@pytest.mark.parametrize(
+    "command", ["surface", "cohomology", "check-system", "check-exceptional",
+                "check-constructible", "certify-full", "orbit-report"],
+)
+def test_surface_over_the_ray_cap_exits_2(capsys, command):
+    from torsys.schema import MAX_RAYS
+
+    selfints = _blown_up_p2(MAX_RAYS + 1)
+    n = len(selfints)
+    entries = json.dumps({"surface": selfints, "entries": [[int(i == j) for j in range(n)] for i in range(n)]})
+    argv = {
+        "surface": ["--surface", json.dumps(selfints)],
+        "cohomology": ["--surface", json.dumps(selfints), "--class", json.dumps([0] * n)],
+        "check-system": ["--system", entries],
+        "check-exceptional": ["--system", entries],
+        "check-constructible": ["--system", entries],
+        "certify-full": ["--sequence", entries],
+        "orbit-report": ["--surface", json.dumps(selfints)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert "TooManyRays" in capsys.readouterr().err

@@ -151,11 +151,11 @@ def test_orbit_rank5():
     assert standard_system(x) in systems
     # identity fixes the standard system
     ident = next(g for g in w if g.is_identity())
-    assert ident.apply_system(standard_system(x)) == standard_system(x)
+    assert orbit(standard_system(x), [ident]) == [standard_system(x)]
 
 
 def test_orbit_images_are_valid_systems():
-    # apply_system builds its images unchecked; the axioms must still hold
+    # orbit builds its images unchecked; the axioms must still hold
     for selfints in (RANK4, rank5.SELFINTS, RANK6):
         x = from_selfints(selfints)
         for s in orbit(standard_system(x), weyl_group(x)):

@@ -105,3 +105,39 @@ def test_cohomology_oracle_and_fast_path_share_no_code():
     assert oracle | fast <= set(functions)
     assert {f: names(f) & fast for f in oracle} == {f: set() for f in oracle}
     assert {f: names(f) & oracle for f in fast} == {f: set() for f in fast}
+
+
+def test_cli_holds_no_json_schema_and_no_replay():
+    # the JSON readers and writers and the certificate replay live in
+    # torsys.schema; cli.py only parses arguments, renders text and exits
+    import torsys.cli
+    import torsys.schema
+
+    path = pathlib.Path(torsys.__file__).parent / "cli.py"
+    defined = [
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert [
+        name for name in defined
+        if name.endswith(("_to_json", "_from_json")) or "replay" in name
+    ] == []
+    # perfbench renders reproduce-paper through these two names
+    assert torsys.cli.report_to_json is torsys.schema.report_to_json
+    assert torsys.cli.certificate_to_json is torsys.schema.certificate_to_json
+
+
+def test_rank6_certificate_digest_is_taken_with_the_schema_writer():
+    path = pathlib.Path(__file__).parent / "test_classify.py"
+    test = next(
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "test_rank6_certificates_are_pinned"
+    )
+    imports = [
+        (node.module, [a.name for a in node.names])
+        for node in ast.walk(test)
+        if isinstance(node, ast.ImportFrom) and "certificate_to_json" in [a.name for a in node.names]
+    ]
+    assert imports == [("torsys.schema", ["certificate_to_json"])]

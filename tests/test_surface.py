@@ -462,3 +462,24 @@ def test_representatives_compare_equal_and_keep_their_coeffs():
         assert d.coeffs == c and e.coeffs == shifted
         assert repr(e) == f"DivisorClass{shifted}"
         assert (d + e).coeffs == tuple(a + b for a, b in zip(c, shifted))
+
+
+@pytest.mark.parametrize(
+    "selfints", [[1.7, 1, 1], ["1", "1", "1"], [1, 1, True]]
+)
+def test_from_selfints_accepts_only_ints(selfints):
+    with pytest.raises(ValueError, match="array of integers"):
+        from_selfints(selfints)
+
+
+def test_from_selfints_refuses_bools_on_a_cache_hit():
+    # (True, True, True) hashes and compares equal to the cached (1, 1, 1)
+    from_selfints((1, 1, 1))
+    with pytest.raises(ValueError, match="array of integers"):
+        from_selfints([True, True, True])
+
+
+@pytest.mark.parametrize("coeffs", [[0.9, 0, 0], [1, 0, True], [1, "0", 0]])
+def test_divisor_class_accepts_only_ints(coeffs):
+    with pytest.raises(ValueError, match="array of integers"):
+        from_selfints((1, 1, 1)).divisor_class(coeffs)
