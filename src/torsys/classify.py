@@ -6,20 +6,36 @@ automatically full.  Non-constructible ones are attacked with a bounded
 breadth-first search over spherical twists at invariant (-2)-curves: if some
 twisted image is constructible, the original sequence is full as well, and the
 certificate records the twists plus a replayable de-augmentation witness.
+
+Every search, from :func:`is_constructible`, :func:`certify_full` and
+:func:`orbit_report`, runs through one kernel, :func:`_path`, on the reduced
+coefficient tuples of the entries, cached per process.  Twists are root
+reflections, so the twisted images of an orbit system lie in the same Weyl
+orbit, and a census searches each system once.  The kernel returns moves
+only; :func:`_search` turns them into a witness on the caller's own
+coefficients, so witnesses and certificates do not depend on the cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .isometry import RankOutOfRange, weyl_orbit
-from .surface import DivisorClass, FanAutomorphism, InternalInconsistency, ToricSurface
+from .surface import (
+    DivisorClass,
+    FanAutomorphism,
+    InternalInconsistency,
+    ToricSurface,
+    from_selfints,
+)
 from .systems import (
     HirzebruchSystemClass,
     LineBundleSequence,
     ToricSystem,
     _augment_at_ray,
+    _is_exceptional_reduced,
     classify_hirzebruch,
     deaugment,
     from_sequence,
@@ -102,19 +118,6 @@ class FullnessCertificate:
     notes: tuple[str, ...] = ()
 
 
-class _Memo:
-    """Search memo of one top-level call.  Failures are cached up to
-    rotation/mirror of the system (the expensive exhaustive searches);
-    successes under :meth:`ToricSystem.key`, the reduced classes of the
-    entries, not their coefficients.  A hit replays to an equal system, but
-    its stored coefficients are those of the representative that was searched
-    first, so a memo shared across calls would change the certificates."""
-
-    def __init__(self):
-        self.false_keys: set = set()
-        self.witnesses: dict = {}
-
-
 def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
     """Search all de-augmentation chains for a witness; None when none exists.
 
@@ -125,53 +128,117 @@ def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
     """
     if not is_exceptional(system):
         raise NotExceptionalInput("constructibility is defined for exceptional systems")
-    return _search(system, _Memo())
+    return _search(system)
 
 
-def _search(system: ToricSystem, memo: _Memo) -> ConstructibilityWitness | None:
-    x = system.surface
+def _reduced_key(system: ToricSystem) -> tuple:
+    """The arguments of :func:`_path` for ``system``."""
+    return system.surface.selfints, tuple(a.reduced() for a in system.entries)
+
+
+@functools.lru_cache(maxsize=200_000)
+def _path(selfints: tuple[int, ...], entries: tuple) -> tuple | None:
+    """The de-augmentation search on reduced coefficient tuples: None, or the
+    moves ``((ray, position), ...)`` from the system down to a Hirzebruch
+    surface together with the label of the system reached there.
+
+    Moves are tried depth first, rays ascending, then positions ascending,
+    and the first success wins.  Every step is defined on classes: an entry
+    matches a ray when the reduced tuples agree, :func:`_deaugment_reduced`
+    maps reduced tuples to reduced tuples, and exceptionality and the label
+    depend on classes only.  So the answer is a function of the arguments,
+    and caching it per process (under the same cap as the ``h0`` and
+    ``vanishes_totally`` caches) changes no answer.  Each de-augmented system
+    must be exceptional and on a Hirzebruch surface the label must agree with
+    exceptionality; a miss raises InternalInconsistency, which lru_cache
+    does not store.  The caller checks that the input is exceptional.
+    """
+    x = from_selfints(selfints)
     if x.n == 4:
+        system = ToricSystem(x, tuple(DivisorClass(x, c) for c in entries))
         label = classify_hirzebruch(system)
         exceptional = label.is_exceptional_class()
-        if exceptional != is_exceptional(system):
+        if exceptional != _is_exceptional_reduced(selfints, entries):
             raise InternalInconsistency(
                 f"Hirzebruch label {label.kind}_({label.r},{label.i}) disagrees "
                 "with the cohomological exceptionality test"
             )
-        if exceptional:
-            return ConstructibilityWitness(system, label, ())
-        return None
+        return ((), label) if exceptional else None
     if x.n < 4:
         return None  # no Hirzebruch surface below the minimal ones
-    exact = system.key()
-    if exact in memo.witnesses:
-        return memo.witnesses[exact]
-    canon = system.canonical_key()
-    if canon in memo.false_keys:
-        return None
-    reduced = [entry.reduced() for entry in system.entries]
     for ray in x.contractible_rays():
         r = x.divisor(ray).reduced()
-        for position, entry in enumerate(reduced):
+        for position, entry in enumerate(entries):
             if entry != r:
                 continue
-            sub, _ = deaugment(system, position, ray)
-            if not is_exceptional(sub):
+            below, sub = _deaugment_reduced(x, entries, position, ray)
+            if not _is_exceptional_reduced(below, sub):
                 raise InternalInconsistency(
                     "de-augmentation of an exceptional system went non-exceptional"
                 )
-            sub_witness = _search(sub, memo)
-            if sub_witness is not None:
-                step = DeaugmentationStep(x, ray, position)
-                witness = ConstructibilityWitness(
-                    sub_witness.base_system,
-                    sub_witness.base_class,
-                    (step,) + sub_witness.steps,
-                )
-                memo.witnesses[exact] = witness
-                return witness
-    memo.false_keys.add(canon)
+            found = _path(below, sub)
+            if found is not None:
+                moves, label = found
+                return ((ray, position),) + moves, label
     return None
+
+
+def _deaugment_reduced(
+    x: ToricSurface, entries: tuple, position: int, ray: int
+) -> tuple[tuple[int, ...], tuple]:
+    """:func:`deaugment` on reduced tuples, as (selfints below, reduced
+    entries below): both neighbours of ``position`` absorb the unit vector
+    of ``ray``, the entry at ``position`` goes, and every other entry c is
+    pushed down.  As E = D_ray has E^2 = -1 and meets only its two
+    neighbours, c.E = 0 reads c[ray] = c[ray - 1] + c[ray + 1], and then c is
+    the pullback of c with coordinate ``ray`` deleted, which is reduced on
+    the blow-down.  ``pushdown`` also shifts c by c[ray] relations first, to
+    print the coefficients it returns; that shift is a relation below, so
+    after the reduction it changes nothing.  An entry with c.E != 0 is a bug
+    here, so it raises InternalInconsistency rather than the ValueError of
+    ``pushdown``."""
+    below = x.blow_down(ray).below
+    n = x.n
+    neighbours = ((position - 1) % n, (position + 1) % n)
+    out = []
+    for j, c in enumerate(entries):
+        if j == position:
+            continue
+        if j in neighbours:
+            c = c[:ray] + (c[ray] + 1,) + c[ray + 1 :]
+        if c[(ray - 1) % n] + c[(ray + 1) % n] != c[ray]:
+            raise InternalInconsistency(
+                "a de-augmented entry does not lie in the orthogonal complement "
+                "of the exceptional class"
+            )
+        out.append(below.reduce_coeffs(c[:ray] + c[ray + 1 :]))
+    return below.selfints, tuple(out)
+
+
+def _search(system: ToricSystem) -> ConstructibilityWitness | None:
+    """The witness of :func:`_path` for ``system``: its moves replayed through
+    :func:`deaugment` on the caller's own coefficients.
+
+    The moves are a function of the classes of the entries (see
+    :func:`_path`), and the public :func:`deaugment`, the exact inverse of
+    the augmentation that :meth:`ConstructibilityWitness.replay` applies,
+    carries each step out on the input's own coefficients.  So the witness,
+    down to the coefficients of its base system, is a function of the input
+    alone, the same whether :func:`_path` computes the moves or recalls them.
+    It is also the witness of a depth-first search over ``ToricSystem``
+    objects with a memo of its own call: a success returns straight to the
+    top, so that search never reads a memoised witness.  tests/test_classify.py
+    keeps such a search as the reference.
+    """
+    found = _path(*_reduced_key(system))
+    if found is None:
+        return None
+    moves, label = found
+    steps = []
+    for ray, position in moves:
+        steps.append(DeaugmentationStep(system.surface, ray, position))
+        system, _ = deaugment(system, position, ray)
+    return ConstructibilityWitness(system, label, tuple(steps))
 
 
 def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertificate:
@@ -190,11 +257,10 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     :func:`to_sequence` converts a certified image back.  The bundle-level
     twist, ``torsys.twist.twist_sequence``, is what certificates replay against.
     """
-    memo = _Memo()
     system = from_sequence(seq)
     if not is_exceptional(system):
         raise NotExceptionalInput("fullness certification needs an exceptional sequence")
-    witness = _search(system, memo)
+    witness = _search(system)
     if witness is not None:
         return FullnessCertificate("full", (), witness, seq)
     x = system.surface
@@ -228,7 +294,7 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                         "a twist of an exceptional sequence went non-exceptional"
                     )
                 applied = trail + (TwistApplication(ray, cases),)
-                witness = _search(image, memo)
+                witness = _search(image)
                 if witness is not None:
                     return FullnessCertificate(
                         "full", applied, witness, to_sequence(image)
@@ -285,10 +351,7 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
         )
     systems = weyl_orbit(x)
     exceptional = [s for s in systems if is_exceptional(s)]
-    memo = _Memo()
-    nonconstructible = [
-        s for s in exceptional if _search(s, memo) is None
-    ]
+    nonconstructible = [s for s in exceptional if _path(*_reduced_key(s)) is None]
     index = {s.key(): j for j, s in enumerate(nonconstructible)}
     pairing = []
     autos = [f for f in x.fan_automorphisms() if not f.is_identity()]

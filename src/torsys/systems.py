@@ -277,14 +277,20 @@ def is_exceptional(system: ToricSystem) -> bool:
     the memo of :func:`torsys.cohomology.vanishes_totally` under its own key.
     Segments are tested in the order i ascending, then j ascending.
     """
-    x = system.surface
-    entries = system.entries
-    sums = [(0,) * x.n]
+    return _is_exceptional_reduced(
+        system.surface.selfints, tuple(a.reduced() for a in system.entries)
+    )
+
+
+def _is_exceptional_reduced(selfints: tuple[int, ...], entries: tuple) -> bool:
+    """The body of :func:`is_exceptional` on the reduced coefficient tuples
+    of the entries."""
+    sums = [(0,) * len(selfints)]
     for a in entries[:-1]:
-        sums.append(tuple(map(add, sums[-1], a.reduced())))
+        sums.append(tuple(map(add, sums[-1], a)))
     for i, start in enumerate(sums[:-1]):
         for end in sums[i + 1 :]:
-            if not _vanishes_cached(x.selfints, tuple(map(sub, start, end))):
+            if not _vanishes_cached(selfints, tuple(map(sub, start, end))):
                 return False
     return True
 

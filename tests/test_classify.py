@@ -197,6 +197,9 @@ def test_system_twist_matches_twist_sequence(selfints):
 RANK6_CERTIFICATES_DIGEST = "f63b1458294180e46d874cb9a20f203c9c97506c5313045bd5954387ccfa2043"
 
 
+RANK6 = (-2, -1, -2, -1, -2, -1, -2, -1)
+
+
 def test_rank6_certificates_are_pinned():
     import hashlib
     import json
@@ -209,6 +212,28 @@ def test_rank6_certificates_are_pinned():
     assert len(nonconstructible) == 536
     certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+
+
+def test_rank6_certificates_do_not_depend_on_the_search_cache():
+    # the searches of two orbit reports fill the cache first, and the
+    # certificates are then made in reverse order: each witness is replayed
+    # on its own input's coefficients, so the digest stays put
+    import hashlib
+    import json
+
+    from torsys.classify import _path
+    from torsys.schema import certificate_to_json
+
+    _path.cache_clear()
+    orbit_report(rank5.surface())
+    nonconstructible = orbit_report(from_selfints(RANK6)).nonconstructible
+    assert len(nonconstructible) == 536
+    assert _path.cache_info().currsize > 0
+    certs = [
+        certify_full(to_sequence(s), max_depth=3) for s in reversed(nonconstructible)
+    ]
+    blob = json.dumps([certificate_to_json(c) for c in certs[::-1]], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
 
 
@@ -230,19 +255,184 @@ def test_orbit_report_rank5():
 
 def test_rank5_orbit_every_witness_replays():
     x = rank5.surface()
-    from torsys.classify import _Memo, _search
+    from torsys.classify import _search
 
-    memo = _Memo()
     replayed = 0
     for s in orbit(standard_system(x), weyl_group(x)):
         if not is_exceptional(s):
             continue
-        w = _search(s, memo)
+        w = _search(s)
         if w is None:
             continue
         assert w.replay() == s
         replayed += 1
     assert replayed == 96
+
+
+class _ReferenceMemo:
+    def __init__(self):
+        self.false_keys = set()
+        self.witnesses = {}
+
+
+def _reference_search(system, memo):
+    """The object-level de-augmentation search with a memo of one top-level
+    call, as the library ran it before its cached kernel on reduced tuples:
+    failures are kept up to rotation/mirror, successes under
+    ToricSystem.key()."""
+    from torsys.classify import ConstructibilityWitness, DeaugmentationStep
+    from torsys.surface import InternalInconsistency
+    from torsys.systems import classify_hirzebruch, deaugment
+
+    x = system.surface
+    if x.n == 4:
+        label = classify_hirzebruch(system)
+        exceptional = label.is_exceptional_class()
+        if exceptional != is_exceptional(system):
+            raise InternalInconsistency("label disagrees with exceptionality")
+        return ConstructibilityWitness(system, label, ()) if exceptional else None
+    if x.n < 4:
+        return None
+    exact = system.key()
+    if exact in memo.witnesses:
+        return memo.witnesses[exact]
+    canon = system.canonical_key()
+    if canon in memo.false_keys:
+        return None
+    reduced = [entry.reduced() for entry in system.entries]
+    for ray in x.contractible_rays():
+        r = x.divisor(ray).reduced()
+        for position, entry in enumerate(reduced):
+            if entry != r:
+                continue
+            sub, _ = deaugment(system, position, ray)
+            if not is_exceptional(sub):
+                raise InternalInconsistency("de-augmentation went non-exceptional")
+            sub_witness = _reference_search(sub, memo)
+            if sub_witness is not None:
+                step = DeaugmentationStep(x, ray, position)
+                witness = ConstructibilityWitness(
+                    sub_witness.base_system,
+                    sub_witness.base_class,
+                    (step,) + sub_witness.steps,
+                )
+                memo.witnesses[exact] = witness
+                return witness
+    memo.false_keys.add(canon)
+    return None
+
+
+@pytest.mark.parametrize("selfints", [rank5.SELFINTS, RANK6], ids=["rank5", "rank6"])
+def test_search_kernel_equals_the_object_level_reference(selfints):
+    # same verdict and the same witness, coefficient by coefficient, on every
+    # exceptional orbit system, as the kernel's cache fills from cold
+    from torsys.classify import _path, _search
+    from torsys.isometry import weyl_orbit
+    from torsys.schema import witness_to_json
+
+    x = from_selfints(selfints)
+    _path.cache_clear()
+    failed = 0
+    for s in weyl_orbit(x):
+        if not is_exceptional(s):
+            continue
+        want = _reference_search(s, _ReferenceMemo())
+        got = _search(s)
+        assert (got is None) == (want is None)
+        if want is None:
+            failed += 1
+        else:
+            assert witness_to_json(got) == witness_to_json(want)
+    assert failed == {7: 2, 8: 536}[x.n]
+
+
+def test_search_kernel_checks_fire_and_leave_no_cache_entry(monkeypatch):
+    import torsys.classify
+    from torsys.classify import _path
+    from torsys.surface import InternalInconsistency
+    from torsys.systems import HirzebruchSystemClass
+
+    real = torsys.classify._is_exceptional_reduced
+    rank6 = standard_system(from_selfints(RANK6))
+    _path.cache_clear()
+    with monkeypatch.context() as m:
+        # the 8-ray input passes; its first 7-ray de-augmentation does not
+        m.setattr(
+            torsys.classify,
+            "_is_exceptional_reduced",
+            lambda selfints, entries: len(selfints) != 7 and real(selfints, entries),
+        )
+        with pytest.raises(InternalInconsistency, match="non-exceptional"):
+            is_constructible(rank6)
+    # the search raised before any search below it finished: nothing is cached
+    assert _path.cache_info().currsize == 0
+    with monkeypatch.context() as m:
+        m.setattr(
+            torsys.classify,
+            "classify_hirzebruch",
+            lambda system: HirzebruchSystemClass("Atilde", 2, 1),
+        )
+        with pytest.raises(InternalInconsistency, match="disagrees"):
+            is_constructible(standard_system(rank5.surface()))
+    assert is_constructible(rank6) is not None
+
+
+def test_search_kernel_raises_internal_inconsistency_on_a_bad_pushdown():
+    # a search that pushes down an entry meeting the exceptional class is a
+    # bug, not an input error; the public pushdown keeps its ValueError
+    from torsys.classify import _path
+    from torsys.surface import InternalInconsistency
+
+    x = rank5.surface()
+    e = x.contractible_rays()[0]
+    entries = [x.divisor(i).reduced() for i in range(x.n)]
+    # D_{e+2} + D_e meets D_e in -1
+    far = (e + 2) % x.n
+    entries[far] = x.reduce_coeffs(
+        tuple(a + b for a, b in zip(x.divisor(far).coeffs, x.divisor(e).coeffs))
+    )
+    with pytest.raises(InternalInconsistency, match="orthogonal complement"):
+        _path(x.selfints, tuple(entries))
+
+
+_LABEL_CHECK_SCRIPT = r"""
+import sys
+
+import torsys.classify
+from torsys import from_selfints
+from torsys.classify import is_constructible
+from torsys.surface import InternalInconsistency
+from torsys.systems import HirzebruchSystemClass, standard_system
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+torsys.classify.classify_hirzebruch = lambda s: HirzebruchSystemClass("Atilde", 2, 1)
+try:
+    is_constructible(standard_system(from_selfints((-2, -1, -1, -1, -1, -2, -1))))
+    print("accepted")
+except InternalInconsistency:
+    print("label check fired")
+"""
+
+
+def test_search_kernel_label_check_fires_under_optimize():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LABEL_CHECK_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "label check fired\n"
 
 
 def test_orbit_report_rank4_all_constructible():
@@ -322,6 +512,18 @@ def test_search_path_validates_only_its_input(monkeypatch):
         cert = certify_full(to_sequence(s), max_depth=1)
         assert cert.verdict == "full"
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_search_path_validates_only_its_input_from_either_cache(monkeypatch, cache):
+    # whether the searches run or come from the search cache
+    from torsys.classify import _path
+
+    _path.cache_clear()
+    if cache == "warm":
+        for s in orbit_report(rank5.surface()).nonconstructible:
+            certify_full(to_sequence(s), max_depth=1)
+    test_search_path_validates_only_its_input(monkeypatch)
 
 
 def test_orbit_report_builds_no_isometry(monkeypatch):
