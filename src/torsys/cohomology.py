@@ -1,9 +1,13 @@
 """Sheaf cohomology of line bundles on a toric surface, two independent ways.
 
-Fast path: h^0 counts lattice points of the polytope {m : <m, v_i> >= -c_i},
-h^2 comes from Serre duality h^2(D) = h^0(K - D), and h^1 is recovered from
-the exact Euler characteristic chi(D) = 1 + (D^2 - D.K)/2 (Riemann-Roch on a
-rational surface).
+Fast path: h^0 counts lattice points of the section polygon
+P = {m : <m, v_i> >= -c_i}.  One half-plane pass over the rays in their
+cyclic order gives P's edges and corners exactly, or finds P empty, in O(n);
+floor sums along the lower and upper edges then count the points column by
+column, O(log) per edge, with no column scanned.  h^2 comes from Serre
+duality h^2(D) = h^0(K - D), and h^1 is recovered from the exact Euler
+characteristic chi(D) = 1 + (D^2 - D.K)/2 (Riemann-Roch on a rational
+surface).
 
 Oracle: for every character m in a box, the rays where the section fails form
 a subcomplex of the boundary circle of the fan; its reduced cohomology gives
@@ -53,72 +57,186 @@ H0_MAX_COLUMNS = 4_000_000
 
 
 class H0TooLarge(ValueError):
-    """The section polytope's x-extent, rounded outwards to integers, spans
+    """The section polygon's x-extent, rounded outwards to integers, spans
     more than H0_MAX_COLUMNS columns."""
 
 
 def h0(d: DivisorClass) -> int:
-    """Number of characters m with <m, v_i> >= -c_i for all i.  A section
-    polytope wider than H0_MAX_COLUMNS columns raises H0TooLarge before any
-    scan; an empty one gives 0 without a scan."""
+    """Number of characters m with <m, v_i> >= -c_i for all i.  An empty
+    section polygon gives 0; one wider than H0_MAX_COLUMNS columns raises
+    H0TooLarge.  The count costs O(n log |c|) whatever the width, so the cap
+    no longer bounds a scan; it stays as an explicit cap on a size the user
+    controls."""
     return _h0_cached(d.surface.selfints, d.reduced())
 
 
 @functools.lru_cache(maxsize=200_000)
 def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
-    """Scan the columns between the leftmost and rightmost vertex of the
-    section polytope.  The fan is complete, so the polytope is bounded, and
-    when it is not empty each vertex is a pairwise facet-line intersection
-    (num_x, num_y) / det that satisfies every inequality.  With no such
-    point the polytope is empty."""
-    x = from_selfints(selfints)
-    rays = x.rays
-    n = x.n
-    vertices_x: list[tuple[int, int]] = []  # (num_x, det) with det > 0
-    for i in range(n):
-        vix, viy = rays[i]
-        ci = coeffs[i]
-        for j in range(i + 1, n):
-            vjx, vjy = rays[j]
-            det = vix * vjy - viy * vjx
-            if det == 0:
-                continue
-            cj = coeffs[j]
-            num_x = cj * viy - ci * vjy
-            num_y = ci * vjx - cj * vix
-            if det < 0:
-                det, num_x, num_y = -det, -num_x, -num_y
-            # <m, v_k> >= -c_k for m = (num_x, num_y) / det, scaled by det > 0
-            if all(num_x * vx + num_y * vy >= -c * det for (vx, vy), c in zip(rays, coeffs)):
-                vertices_x.append((num_x, det))
-    if not vertices_x:
+    """Count the lattice points of the section polygon P by floor sums.
+
+    :func:`_section_polygon` gives P's edges and corners exactly, or None
+    when P is empty.  Each corner is then checked against every inequality,
+    O(n k) for k corners; by the argument there none can fail, and a failure
+    raises InternalInconsistency.  H0_MAX_COLUMNS bounds P's width, from the
+    floor of the least corner x to the ceil of the greatest, as the column
+    scan did before; nothing is scanned.
+
+    Column mx holds floor(U(mx)) - ceil(L(mx)) + 1 points between the upper
+    boundary U and the lower boundary L.  Along an edge on a line with
+    vy < 0, floor(U(mx)) = floor((vx mx + c) / -vy); along one with vy > 0,
+    -ceil(L(mx)) = floor((vx mx + c) / vy), and the + 1 is folded in as
+    floor((vx mx + c + vy) / vy).  Counter-clockwise, the lower edges
+    (vy > 0) run left to right and the upper edges (vy < 0) right to left,
+    and each chain meets a line with vy = 0 or one of the other chain at its
+    ends.  At such a corner the direction (1, 0) lies between the two
+    normals, so the corner at the chain's left end has the least x.  Each
+    chain therefore covers every column once when its edges take the
+    half-open x-ranges (left, right] and the edge at its left end takes
+    [left, right]: a corner column shared by two edges is counted once per
+    chain.  Vertical edges bound the x-range only.  Each edge is one
+    :func:`_floor_sum`.
+    """
+    rays = from_selfints(selfints).rays
+    polygon = _section_polygon(rays, coeffs)
+    if polygon is None:
         return 0
-    x_min = min(num // det for num, det in vertices_x)
-    x_max = max(-(-num // det) for num, det in vertices_x)
+    lines, corners = polygon
+    for X, Y, W in corners:
+        if any(vx * X + vy * Y + c * W < 0 for (vx, vy), c in zip(rays, coeffs)):
+            raise InternalInconsistency(
+                f"corner ({X}, {Y}) / {W} of the section polygon of {coeffs}"
+                f" on {selfints} is infeasible"
+            )
+    x_min = min(X // W for X, _, W in corners)
+    x_max = max(-(-X // W) for X, _, W in corners)
     if x_max - x_min + 1 > H0_MAX_COLUMNS:
         raise H0TooLarge(
-            f"h0 would scan {x_max - x_min + 1} columns, more than {H0_MAX_COLUMNS}"
+            f"the section polygon spans {x_max - x_min + 1} columns,"
+            f" more than {H0_MAX_COLUMNS}"
         )
     count = 0
-    for mx in range(x_min, x_max + 1):
-        y_lo, y_hi = None, None
-        feasible = True
-        for (vx, vy), c in zip(rays, coeffs):
-            rhs = -c - vx * mx  # need vy * my >= rhs
-            if vy > 0:
-                b = -((-rhs) // vy)  # ceil(rhs / vy)
-                if y_lo is None or b > y_lo:
-                    y_lo = b
-            elif vy < 0:
-                b = rhs // vy  # floor for negative divisor
-                if y_hi is None or b < y_hi:
-                    y_hi = b
-            elif rhs > 0:
-                feasible = False
-                break
-        if feasible and y_lo is not None and y_hi is not None and y_hi >= y_lo:
-            count += y_hi - y_lo + 1
+    k = len(lines)
+    for j, (vx, vy, c) in enumerate(lines):
+        # the edge of lines[j] runs from corners[j - 1] to corners[j]
+        if vy > 0:
+            (left, _, wl), (right, _, wr) = corners[j - 1], corners[j]
+            left_end = lines[j - 1][1] <= 0
+            m, b = vy, c + vy
+        elif vy < 0:
+            (left, _, wl), (right, _, wr) = corners[j], corners[j - 1]
+            left_end = lines[(j + 1) % k][1] >= 0
+            m, b = -vy, c
+        else:
+            continue
+        lo = -(-left // wl) if left_end else left // wl + 1
+        hi = right // wr
+        if hi >= lo:
+            count += _floor_sum(hi - lo + 1, m, vx, vx * lo + b)
     return count
+
+
+def _section_polygon(
+    rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]] | None:
+    """P = {m : <m, v_i> >= -c_i} as (lines, corners), or None when P is
+    empty.  ``lines`` are the kept (vx, vy, c) in the fan's counter-clockwise
+    order; corners[j] = (X, Y, W), W > 0, is the point (X, Y) / W where
+    lines[j] meets lines[j + 1] (cyclically).  One pass over the n lines,
+    O(n).
+
+    Write g_i(m) = <m, v_i> + c_i and [a, b] = det(v_a, v_b).  Neighbouring
+    kept lines have [a, b] > 0, as adjacent rays of the fan do.  For
+    neighbours a, k, b the identity [k, b] v_a + [b, a] v_k + [a, k] v_b = 0
+    makes C = [k, b] g_a + [b, a] g_k + [a, k] g_b a constant.  At the corner
+    of a and k it reads C = [a, k] g_b, at the corner of k and b
+    C = [k, b] g_a; the edge of k has negative length exactly when C < 0,
+    seen from either end.  Then:
+
+    - if [a, b] > 0, g_k > 0 wherever g_a, g_b >= 0: k is strictly redundant
+      and is dropped, which leaves P and gives the new neighbours a, b
+      [a, b] > 0;
+    - if [a, b] <= 0, all three factors are >= 0, so g_a, g_k and g_b are
+      never all >= 0: P is empty.
+
+    As each line comes in, the pass drops from the back while the last edge
+    is negative, and returns None where a drop would need [a, b] <= 0.  Every
+    kept line with a kept line on either side now has an edge >= 0.  Then
+    it closes the cycle: it drops the last line while its edge up to the
+    first line is negative, and the first line while its edge from the last
+    one is.  Those drops always have [a, b] > 0.  Otherwise the kept lines
+    from b round to a turn by at most pi; along a chain of edges >= 0 that
+    turns by at most pi, each g of the chain only grows after its own edge
+    and before it, so the chain's corners lie in all its half-planes.  The
+    corner of that chain next to k (on a, or on b) lies in H_k too, as the
+    edge between was checked >= 0 as the lines came in: a point of
+    H_a, H_k and H_b, which cannot exist.  So the first part finds every
+    empty P.
+
+    At the end no edge is negative, and the kept normals, a cyclic
+    subsequence of the rays turning by less than pi at each step, wind
+    once.  Every direction u is a non-negative combination of two
+    neighbours a, b, so <m, u> >= <w_ab, u> on P, and P lies in the hull of
+    the corners.  With no negative edge the corners trace a convex polygon
+    with every kept half-plane on its left, so they lie in P: P is their
+    hull.
+    """
+    lines = [(vx, vy, c) for (vx, vy), c in zip(rays, coeffs)]
+    kept = [lines[0]]
+    corners: list[tuple[int, int, int]] = []  # corners[j] joins kept[j], kept[j + 1]
+    for line in lines[1:]:
+        bx, by, bc = line
+        while corners:
+            X, Y, W = corners[-1]
+            if bx * X + by * Y + bc * W >= 0:
+                break
+            ax, ay, _ = kept[-2]
+            if ax * by - ay * bx <= 0:
+                return None
+            kept.pop()
+            corners.pop()
+        ax, ay, ac = kept[-1]
+        corners.append((bc * ay - ac * by, ac * bx - bc * ax, ax * by - ay * bx))
+        kept.append(line)
+    first = 0
+    while True:
+        (bx, by, bc), (X, Y, W) = kept[first], corners[-1]
+        if bx * X + by * Y + bc * W < 0:
+            kept.pop()
+            corners.pop()
+            continue
+        (ax, ay, ac), (X, Y, W) = kept[-1], corners[first]
+        if ax * X + ay * Y + ac * W < 0:
+            first += 1
+            continue
+        break
+    kept, corners = kept[first:], corners[first:]
+    (ax, ay, ac), (bx, by, bc) = kept[-1], kept[0]
+    corners.append((bc * ay - ac * by, ac * bx - bc * ax, ax * by - ay * bx))
+    return kept, corners
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a i + b) / m) for i in range(n)) for n >= 0, m >= 1 and any
+    integers a, b, in O(log m) rounds (AtCoder Library's floor_sum).
+
+    Floor division takes the quotients of a and b out exactly, negative ones
+    too, and leaves 0 <= a, b < m.  The remaining sum counts the lattice
+    points (i, j) with 0 <= i < n and 1 <= j <= (a i + b) / m; counted by j
+    instead it is the same kind of sum with n = (a n + b) // m terms,
+    b = (a n + b) % m and the roles of m and a swapped, so m falls like the
+    remainders of Euclid's algorithm.
+    """
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 def cohomology_dims(d: DivisorClass) -> CohomologyDims:

@@ -47,7 +47,13 @@ class Root:
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """An automorphism of Pic(X) preserving the pairing and fixing K, stored
-    as a matrix on the coordinates in the basis ([D_3], ..., [D_n])."""
+    as a matrix on the coordinates in the basis ([D_3], ..., [D_n]).
+
+    Validation checks M^T G M = G and M K = K.  That already makes M
+    invertible over the integers: taking determinants, det(M)^2 det G = det G,
+    and the Gram matrix G of Pic is unimodular (det G = +-1, by Poincare
+    duality), so det M = +-1.
+    """
 
     surface: ToricSurface
     matrix: tuple[tuple[int, ...], ...]
@@ -61,8 +67,6 @@ class Isometry:
         k = self.surface.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
-        if abs(_intlinalg.det(m)) != 1:
-            raise ValueError("matrix is not invertible over the integers")
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
         self.surface._require_same(cls.surface)

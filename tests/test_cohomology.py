@@ -1,6 +1,10 @@
+import ast
+import inspect
 import itertools
 import math
 import random
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -256,6 +260,137 @@ def test_h0_and_oracle_box_equal_the_fraction_references():
             coeffs,
         )
         assert _oracle_box(rays, coeffs) == _reference_oracle_box(rays, coeffs)
+
+
+def test_floor_sum_equals_the_brute_force_sum():
+    from torsys.cohomology import _floor_sum
+
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(3000):
+        n, m = rng.randint(0, 30), rng.randint(1, 40)
+        a, b = rng.randint(-150, 150), rng.randint(-150, 150)
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+        kinds |= {
+            kind
+            for kind, met in [
+                ("n = 0", n == 0),
+                ("a < 0", a < 0),
+                ("b < 0", b < 0),
+                ("a >= m", a >= m),
+                ("b >= m", b >= m),
+            ]
+            if met
+        }
+    assert kinds == {"n = 0", "a < 0", "b < 0", "a >= m", "b >= m"}
+    a, b = 10**12 + 3, -(10**15)
+    assert _floor_sum(10**5, 7, a, b) == sum((a * i + b) // 7 for i in range(10**5))
+
+
+def _reference_corners(rays, coeffs):
+    """The pairwise facet-line intersections that satisfy every inequality,
+    as Fractions: the vertices of the section polygon, none when it is
+    empty."""
+    corners = set()
+    n = len(rays)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (ax, ay), (bx, by) = rays[i], rays[j]
+            det = ax * by - ay * bx
+            if det != 0:
+                ci, cj = coeffs[i], coeffs[j]
+                x, y = cj * ay - ci * by, ci * bx - cj * ax
+                if det < 0:
+                    det, x, y = -det, -x, -y
+                if all(vx * x + vy * y >= -c * det for (vx, vy), c in zip(rays, coeffs)):
+                    corners.add((Fraction(x, det), Fraction(y, det)))
+    return corners
+
+
+def _lines_run(function, calls):
+    """The source lines of ``function`` executed while making ``calls``."""
+    code = function.__code__
+    seen = set()
+
+    def in_function(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return in_function
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_function if frame.f_code is code else None)
+    try:
+        for args in calls:
+            function(*args)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def test_h0_kernel_equals_the_column_scan_on_degenerate_and_edge_polygons():
+    from torsys.cohomology import _h0_cached, _section_polygon
+
+    calls = []
+
+    def check(d, corners_too=True):
+        rays, coeffs = d.surface.rays, d.reduced()
+        assert _h0_cached.__wrapped__(d.surface.selfints, coeffs) == _reference_h0(d), (
+            d.surface.selfints,
+            coeffs,
+        )
+        calls.append((rays, coeffs))
+        if corners_too:
+            polygon = _section_polygon(rays, coeffs)
+            corners = set() if polygon is None else {
+                (Fraction(x, w), Fraction(y, w)) for x, y, w in polygon[1]
+            }
+            assert corners == _reference_corners(rays, coeffs), (d.surface.selfints, coeffs)
+
+    # D = 0: the polygon is the single point 0, on every line
+    for selfints in [(1, 1, 1), (0, 0, 0, 0), (3, 0, -3, 0), rank5.SELFINTS]:
+        check(from_selfints(selfints).zero_class())
+    for r in range(4):
+        x = from_selfints((r, 0, -r, 0))  # rays (1, 0), (0, 1), (-1, 0), (-r, -1)
+        fibre = x.divisor(1)  # the vertical segment x = 0, -1 <= y <= 0
+        assert fibre.square() == 0 and h0(fibre) == 2
+        check(fibre)
+        # a vertical edge on x = -2, and on F_0 one on x = 3 as well
+        check(x.divisor_class((2, 0, 3, 0)))
+        check(x.divisor_class((2, 1, 3, 1)))
+    # the horizontal segment y = 0, -1 <= x <= 0 on F_0
+    check(from_selfints((0, 0, 0, 0)).divisor(0))
+    for c in itertools.product(range(-3, 4), repeat=3):
+        check(_p2().divisor_class(c))
+    for d in _seeded_blowup_classes(1500, seed=68):
+        check(d)
+    # a chain of blow-ups with 24 rays (0, 1), (-1, 1), ..., (-21, 1), whose
+    # polygons are wide and have rational corners: every class with
+    # coefficients in [-3, 3] on two adjacent rays, and seeded classes with
+    # coefficients in [-3, 3] on all rays
+    x = from_selfints((1, 1, 1))
+    while x.n < 24:
+        x = x.blow_up(0).above
+    for i in range(x.n):
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            c = [0] * x.n
+            c[i], c[(i + 1) % x.n] = a, b
+            check(x.divisor_class(c), corners_too=False)
+    rng = random.Random(67)
+    for _ in range(100):
+        check(x.divisor_class([rng.randint(-3, 3) for _ in range(x.n)]))
+    # the classes reach every drop of the pass and its one empty exit: drops
+    # from the back as the lines come in and from both ends as it closes the
+    # cycle
+    source, start = inspect.getsourcelines(_section_polygon)
+    steps = {
+        start + node.lineno - 1
+        for node in ast.walk(ast.parse(textwrap.dedent("".join(source))))
+        if isinstance(node, (ast.Return, ast.AugAssign))
+        and ast.unparse(node) in ("return None", "first += 1")
+        or isinstance(node, ast.Expr) and ast.unparse(node) == "kept.pop()"
+    }
+    assert len(steps) == 1 + 2 + 1
+    assert steps <= _lines_run(_section_polygon, calls)
 
 
 def _reference_oracle(d, bound=None):

@@ -260,3 +260,17 @@ def test_orbits_build_one_class_per_distinct_image(monkeypatch, builder):
     assert len(systems) == 1920
     assert len(calls) == len({a for s in systems for a in s.entries}) == 56
     assert len(set(calls)) == len(calls)
+
+
+def test_gram_matrices_are_unimodular_so_isometries_have_det_one():
+    # Isometry validates M^T G M = G only: det(M)^2 det G = det G, and
+    # det G = +-1 makes det M = +-1 without a determinant per element
+    from test_acceptance import _enumerate_blowups
+
+    pool = _enumerate_blowups(8)
+    assert len(pool) == 132
+    for x in pool:
+        assert _intlinalg.det(x.gram_matrix()) in (1, -1), x.selfints
+    for selfints in (RANK3, RANK4, rank5.SELFINTS, RANK6):
+        x = from_selfints(selfints)
+        assert {abs(_intlinalg.det(g.matrix)) for g in weyl_group(x)} == {1}

@@ -93,7 +93,15 @@ def test_cohomology_oracle_and_fast_path_share_no_code():
         if isinstance(node, ast.FunctionDef)
     }
     oracle = {"oracle_cohomology_dims", "_oracle_box"}
-    fast = {"h0", "_h0_cached", "cohomology_dims", "vanishes_totally", "_vanishes_cached"}
+    fast = {
+        "h0",
+        "_h0_cached",
+        "_section_polygon",
+        "_floor_sum",
+        "cohomology_dims",
+        "vanishes_totally",
+        "_vanishes_cached",
+    }
 
     def names(function):
         return {
