@@ -11,9 +11,15 @@ Every search, from :func:`is_constructible`, :func:`certify_full` and
 :func:`orbit_report`, runs through one kernel, :func:`_path`, on the reduced
 coefficient tuples of the entries, cached per process.  Twists are root
 reflections, so the twisted images of an orbit system lie in the same Weyl
-orbit, and a census searches each system once.  The kernel returns moves
-only; :func:`_search` turns them into a witness on the caller's own
-coefficients, so witnesses and certificates do not depend on the cache.
+orbit, and a census searches each system once; the exceptionality test is
+cached the same way, so a census also tests each system once.  The kernel
+returns moves only; :func:`_search` rebuilds the witness from them on the
+caller's own coefficient tuples, so witnesses and certificates do not depend
+on the caches.  Every de-augmentation, in the kernel, in that rebuild and in
+the public ``deaugment``, runs through one body, ``_deaugment_coeffs`` in
+systems.py.  The twist search of :func:`certify_full` runs on coefficient
+tuples too (:func:`_twist`), and classes and systems are built only for what
+a caller receives.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from .systems import (
     LineBundleSequence,
     ToricSystem,
     _augment_at_ray,
+    _deaugment_coeffs,
     _is_exceptional_reduced,
     classify_hirzebruch,
-    deaugment,
     from_sequence,
     is_exceptional,
     to_sequence,
@@ -144,14 +150,15 @@ def _path(selfints: tuple[int, ...], entries: tuple) -> tuple | None:
 
     Moves are tried depth first, rays ascending, then positions ascending,
     and the first success wins.  Every step is defined on classes: an entry
-    matches a ray when the reduced tuples agree, :func:`_deaugment_reduced`
-    maps reduced tuples to reduced tuples, and exceptionality and the label
-    depend on classes only.  So the answer is a function of the arguments,
-    and caching it per process (under the same cap as the ``h0`` and
-    ``vanishes_totally`` caches) changes no answer.  Each de-augmented system
-    must be exceptional and on a Hirzebruch surface the label must agree with
-    exceptionality; a miss raises InternalInconsistency, which lru_cache
-    does not store.  The caller checks that the input is exceptional.
+    matches a ray when the reduced tuples agree, :func:`_deaugment_coeffs`
+    maps classes to classes (its output is reduced again here), and
+    exceptionality and the label depend on classes only.  So the answer is a
+    function of the arguments, and caching it per process (under the same
+    cap as the ``h0`` and ``vanishes_totally`` caches) changes no answer.
+    Each de-augmented system must be exceptional and on a Hirzebruch surface
+    the label must agree with exceptionality; a miss raises
+    InternalInconsistency, which lru_cache does not store.  The caller checks
+    that the input is exceptional.
     """
     x = from_selfints(selfints)
     if x.n == 4:
@@ -171,74 +178,60 @@ def _path(selfints: tuple[int, ...], entries: tuple) -> tuple | None:
         for position, entry in enumerate(entries):
             if entry != r:
                 continue
-            below, sub = _deaugment_reduced(x, entries, position, ray)
-            if not _is_exceptional_reduced(below, sub):
+            below, sub = _deaugment_coeffs(x, entries, position, ray)
+            sub = tuple(map(below.reduce_coeffs, sub))
+            if not _is_exceptional_reduced(below.selfints, sub):
                 raise InternalInconsistency(
                     "de-augmentation of an exceptional system went non-exceptional"
                 )
-            found = _path(below, sub)
+            found = _path(below.selfints, sub)
             if found is not None:
                 moves, label = found
                 return ((ray, position),) + moves, label
     return None
 
 
-def _deaugment_reduced(
-    x: ToricSurface, entries: tuple, position: int, ray: int
-) -> tuple[tuple[int, ...], tuple]:
-    """:func:`deaugment` on reduced tuples, as (selfints below, reduced
-    entries below): both neighbours of ``position`` absorb the unit vector
-    of ``ray``, the entry at ``position`` goes, and every other entry c is
-    pushed down.  As E = D_ray has E^2 = -1 and meets only its two
-    neighbours, c.E = 0 reads c[ray] = c[ray - 1] + c[ray + 1], and then c is
-    the pullback of c with coordinate ``ray`` deleted, which is reduced on
-    the blow-down.  ``pushdown`` also shifts c by c[ray] relations first, to
-    print the coefficients it returns; that shift is a relation below, so
-    after the reduction it changes nothing.  An entry with c.E != 0 is a bug
-    here, so it raises InternalInconsistency rather than the ValueError of
-    ``pushdown``."""
-    below = x.blow_down(ray).below
-    n = x.n
-    neighbours = ((position - 1) % n, (position + 1) % n)
-    out = []
-    for j, c in enumerate(entries):
-        if j == position:
-            continue
-        if j in neighbours:
-            c = c[:ray] + (c[ray] + 1,) + c[ray + 1 :]
-        if c[(ray - 1) % n] + c[(ray + 1) % n] != c[ray]:
-            raise InternalInconsistency(
-                "a de-augmented entry does not lie in the orthogonal complement "
-                "of the exceptional class"
-            )
-        out.append(below.reduce_coeffs(c[:ray] + c[ray + 1 :]))
-    return below.selfints, tuple(out)
-
-
 def _search(system: ToricSystem) -> ConstructibilityWitness | None:
-    """The witness of :func:`_path` for ``system``: its moves replayed through
-    :func:`deaugment` on the caller's own coefficients.
-
-    The moves are a function of the classes of the entries (see
-    :func:`_path`), and the public :func:`deaugment`, the exact inverse of
-    the augmentation that :meth:`ConstructibilityWitness.replay` applies,
-    carries each step out on the input's own coefficients.  So the witness,
-    down to the coefficients of its base system, is a function of the input
-    alone, the same whether :func:`_path` computes the moves or recalls them.
-    It is also the witness of a depth-first search over ``ToricSystem``
-    objects with a memo of its own call: a success returns straight to the
-    top, so that search never reads a memoised witness.  tests/test_classify.py
-    keeps such a search as the reference.
-    """
+    """The witness of :func:`_path` for ``system``, rebuilt by
+    :func:`_witness` on the caller's own coefficients."""
     found = _path(*_reduced_key(system))
     if found is None:
         return None
+    return _witness(system.surface, tuple(a.coeffs for a in system.entries), found)
+
+
+def _witness(x: ToricSurface, coeffs: tuple, found: tuple) -> ConstructibilityWitness:
+    """The kernel's moves ``found`` replayed on the coefficient tuples
+    ``coeffs`` of a system on ``x`` through :func:`_deaugment_coeffs`, the
+    body of the public :func:`deaugment`, which is the exact inverse of the
+    augmentation that :meth:`ConstructibilityWitness.replay` applies.  The
+    base system's classes are built once, at the end.
+
+    The moves are a function of the classes of the entries (see
+    :func:`_path`), and each step is carried out on the input's own
+    coefficients.  So the witness, down to the coefficients of its base
+    system, is a function of the input alone, the same whether :func:`_path`
+    computes the moves or recalls them.  It is also the witness of a
+    depth-first search over ``ToricSystem`` objects with a memo of its own
+    call: a success returns straight to the top, so that search never reads
+    a memoised witness.  tests/test_classify.py keeps such a search as the
+    reference.  Each move must name a contractible ray whose class is the
+    entry at its position, and each pushed-down entry must be orthogonal to
+    the exceptional class; either miss raises InternalInconsistency.
+    """
     moves, label = found
     steps = []
     for ray, position in moves:
-        steps.append(DeaugmentationStep(system.surface, ray, position))
-        system, _ = deaugment(system, position, ray)
-    return ConstructibilityWitness(system, label, tuple(steps))
+        r = x.divisor(ray).reduced()
+        if x.selfints[ray] != -1 or x.reduce_coeffs(coeffs[position]) != r:
+            raise InternalInconsistency(
+                f"the search's move ({ray}, {position}) does not reverse an "
+                f"augmentation on {x}"
+            )
+        steps.append(DeaugmentationStep(x, ray, position))
+        x, coeffs = _deaugment_coeffs(x, coeffs, position, ray)
+    base = ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
+    return ConstructibilityWitness(base, label, tuple(steps))
 
 
 def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertificate:
@@ -252,10 +245,12 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     ``max_depth`` were left untwisted, or "twist closure exhausted at depth
     d" when no twist gives a new sequence beyond depth d, so the search ends
     there whatever ``max_depth`` is.
-    The search runs on toric systems: :func:`from_sequence` converts and
-    validates the input once, :func:`_twist` twists systems, and
-    :func:`to_sequence` converts a certified image back.  The bundle-level
-    twist, ``torsys.twist.twist_sequence``, is what certificates replay against.
+    The search runs on the coefficient tuples of toric systems:
+    :func:`from_sequence` converts and validates the input once,
+    :func:`_twist` twists tuples, images are told apart by their reduced
+    tuples, and only the certified image becomes a ``ToricSystem`` again,
+    converted back by :func:`to_sequence`.  The bundle-level twist,
+    ``torsys.twist.twist_sequence``, is what certificates replay against.
     """
     system = from_sequence(seq)
     if not is_exceptional(system):
@@ -264,7 +259,7 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     if witness is not None:
         return FullnessCertificate("full", (), witness, seq)
     x = system.surface
-    curves = [(ray, x.divisor(ray)) for ray in minus_two_rays(x)]
+    rays = minus_two_rays(x)
     notes = (
         f"twist search depth <= {max_depth}",
         "forward twists at torus-invariant (-2)-curves only",
@@ -273,31 +268,34 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         notes += (
             "constructibility is defined relative to Hirzebruch bases; the 3-ray surface has none",
         )
-    frontier: list[tuple[ToricSystem, tuple[TwistApplication, ...]]] = [(system, ())]
-    seen = {system.key()}
+    frontier: list[tuple[tuple, tuple[TwistApplication, ...]]] = [
+        (tuple(a.coeffs for a in system.entries), ())
+    ]
+    seen = {tuple(a.reduced() for a in system.entries)}
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         new_frontier = []
         for current, trail in frontier:
-            for ray, c in curves:
-                twisted = _twist(c, current)
+            for ray in rays:
+                twisted = _twist(x, ray, current)
                 if twisted is None:
                     continue
                 image, cases = twisted
-                key = image.key()
-                if key in seen:
+                reduced = tuple(map(x.reduce_coeffs, image))
+                if reduced in seen:
                     continue
-                seen.add(key)
-                if not is_exceptional(image):
+                seen.add(reduced)
+                if not _is_exceptional_reduced(x.selfints, reduced):
                     raise InternalInconsistency(
                         "a twist of an exceptional sequence went non-exceptional"
                     )
                 applied = trail + (TwistApplication(ray, cases),)
-                witness = _search(image)
-                if witness is not None:
+                found = _path(x.selfints, reduced)
+                if found is not None:
+                    final = ToricSystem(x, tuple(DivisorClass(x, c) for c in image))
                     return FullnessCertificate(
-                        "full", applied, witness, to_sequence(image)
+                        "full", applied, _witness(x, image, found), to_sequence(final)
                     )
                 new_frontier.append((image, applied))
         frontier = new_frontier
@@ -308,22 +306,33 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     return FullnessCertificate("unknown", (), None, None, notes)
 
 
-def _twist(c: DivisorClass, system: ToricSystem) -> tuple[ToricSystem, tuple[int, ...]] | None:
-    """The twist at the (-2)-curve of class c as (image, cases), or None when it
-    leaves the line bundles.  With d_i = C.A_i, the cases (0, d_1, d_1 + d_2,
-    ...) over the first n - 1 entries are the C.E_i of :func:`to_sequence`, all
-    0 or 1 when admissible.  The image A_i + d_i C is the reflection at the root
-    C, a K-isometry, so it is built unchecked.  On a system from
-    :func:`from_sequence` its coefficients are those of
-    ``from_sequence(twist_sequence(...))``: its partial sums are the
-    E_k + (C.E_k) C that ``twist_sequence`` stores, and as C.K = 0 its last
-    entry is -K minus the others, coefficient by coefficient."""
-    dots = [c.dot(a) for a in system.entries]
+def _twist(
+    x: ToricSurface, ray: int, coeffs: tuple
+) -> tuple[tuple, tuple[int, ...]] | None:
+    """The twist at the (-2)-curve C = D_ray of the system on ``x`` with entry
+    coefficients ``coeffs``, as (image coefficients, cases), or None when it
+    leaves the line bundles.  As C^2 = -2 and C meets only its two
+    neighbours, d_i = C.A_i is c[ray - 1] + c[ray + 1] - 2 c[ray].  The cases
+    (0, d_1, d_1 + d_2, ...) over the first n - 1 entries are the C.E_i of
+    :func:`to_sequence`, all 0 or 1 when admissible.  The image A_i + d_i C
+    adds d_i to coefficient ``ray``; it is the reflection at the root C, a
+    K-isometry, so the image is a toric system by construction and nothing
+    checks it.  On the coefficients of a system from :func:`from_sequence`
+    it gives those of ``from_sequence(twist_sequence(...))``: its partial
+    sums are the E_k + (C.E_k) C that ``twist_sequence`` stores, and as
+    C.K = 0 its last entry is -K minus the others, coefficient by
+    coefficient."""
+    n = x.n
+    lo, hi = (ray - 1) % n, (ray + 1) % n
+    dots = [c[lo] + c[hi] - 2 * c[ray] for c in coeffs]
     cases = tuple(accumulate(dots[:-1], initial=0))
     if any(k not in (0, 1) for k in cases):
         return None
-    entries = tuple(a if d == 0 else a + d * c for a, d in zip(system.entries, dots))
-    return ToricSystem(system.surface, entries), cases
+    image = tuple(
+        c if d == 0 else c[:ray] + (c[ray] + d,) + c[ray + 1 :]
+        for c, d in zip(coeffs, dots)
+    )
+    return image, cases
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,10 @@ class ToricSurface:
         return tuple(tuple(a.dot(b) for b in basis) for a in basis)
 
     def canonical_coords(self) -> tuple[int, ...]:
+        return self._canonical_coords
+
+    @functools.cached_property
+    def _canonical_coords(self) -> tuple[int, ...]:
         return self.canonical_class().coords()
 
     def _require_same(self, other: "ToricSurface") -> None:
@@ -499,11 +503,17 @@ class BlowupRelation:
             raise ValueError(
                 "class does not lie in the orthogonal complement of the exceptional class"
             )
-        # shift by c[e] relations so the exceptional coefficient vanishes
+        return DivisorClass(self.below, self._drop_exceptional(c))
+
+    def _drop_exceptional(self, c: tuple[int, ...]) -> tuple[int, ...]:
+        """The coefficients below of a vector c above with c.E = 0: c shifted
+        by c[e] relations so the exceptional coefficient vanishes, with that
+        coordinate deleted.  The caller checks c.E = 0."""
+        e = self.ray_index
         t = c[e]
-        shifted = [ci - t * ri for ci, ri in zip(c, self._unit_relation)]
-        del shifted[e]
-        return DivisorClass(self.below, tuple(shifted))
+        if t:
+            c = tuple(ci - t * ri for ci, ri in zip(c, self._unit_relation))
+        return c[:e] + c[e + 1 :]
 
     @functools.cached_property
     def _unit_relation(self) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ blow-up by splitting one entry around the exceptional class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -246,23 +247,55 @@ def deaugment(
     Built unchecked: as A_i = R, (A_{i+-1} + R).R = 1 - 1 = 0, the other
     entries meet R in 0 and (A_{i-1} + R).(A_{i+1} + R) = 1, so the merged
     entries lie in R^perp with the cyclic pattern; pushdown is isometric on
-    R^perp; and the merged sum is -K + R = -pi^*K."""
+    R^perp; and the merged sum is -K + R = -pi^*K.  The work is
+    :func:`_deaugment_coeffs`, on the coefficients of the entries."""
     x = system.surface
-    if x.selfints[ray % x.n] != -1:
+    ray %= x.n
+    if x.selfints[ray] != -1:
         raise NotDeaugmentable(f"ray {ray} is not contractible on {x}")
     r = x.divisor(ray)
-    n = len(system.entries)
-    position %= n
+    position %= len(system.entries)
     if system.entries[position] != r:
         raise NotDeaugmentable(
             f"entry {position} is not the exceptional class of ray {ray}"
         )
-    merged = list(system.entries)
-    for j in ((position - 1) % n, (position + 1) % n):  # + R, a unit vector
-        merged[j] = DivisorClass(x, tuple(map(add, merged[j].coeffs, r.coeffs)))
-    del merged[position]
+    below, coeffs = _deaugment_coeffs(
+        x, tuple(a.coeffs for a in system.entries), position, ray
+    )
+    return ToricSystem(below, tuple(DivisorClass(below, c) for c in coeffs)), r
+
+
+def _deaugment_coeffs(
+    x: ToricSurface, coeffs: tuple, position: int, ray: int
+) -> tuple[ToricSurface, tuple]:
+    """The one de-augmentation body, on coefficient tuples: the surface below
+    and the coefficients of the entries there.  Both neighbours of
+    ``position`` absorb the unit vector of ``ray``, the entry at ``position``
+    goes, and every other entry is pushed down as ``pushdown`` does it, with
+    the same relation shift, so the coefficients are those of
+    :meth:`BlowupRelation.pushdown`.  The caller checks that the entry at
+    ``position`` is the class E of the contractible ray.  As E^2 = -1 and E
+    meets only its two neighbours, c.E = 0 reads c[ray - 1] + c[ray + 1] =
+    c[ray]; an entry that fails it is a bug, not an input error, so it raises
+    InternalInconsistency (``pushdown`` keeps its ValueError).  Reduced input
+    gives reduced-equivalent output: the shift is a relation below."""
     rel = x.blow_down(ray)
-    return ToricSystem(rel.below, tuple(rel.pushdown(a) for a in merged)), r
+    n = x.n
+    lo, hi = (ray - 1) % n, (ray + 1) % n
+    neighbours = ((position - 1) % n, (position + 1) % n)
+    out = []
+    for j, c in enumerate(coeffs):
+        if j == position:
+            continue
+        if j in neighbours:
+            c = c[:ray] + (c[ray] + 1,) + c[ray + 1 :]
+        if c[lo] + c[hi] != c[ray]:
+            raise InternalInconsistency(
+                "a de-augmented entry does not lie in the orthogonal complement "
+                "of the exceptional class"
+            )
+        out.append(rel._drop_exceptional(c))
+    return rel.below, tuple(out)
 
 
 def is_exceptional(system: ToricSystem) -> bool:
@@ -275,16 +308,20 @@ def is_exceptional(system: ToricSystem) -> bool:
     S_{i-1} - S_j.  Reduced representatives (first two coefficients 0) form a
     subgroup, so every such difference is already reduced and is looked up in
     the memo of :func:`torsys.cohomology.vanishes_totally` under its own key.
-    Segments are tested in the order i ascending, then j ascending.
+    Segments are tested in the order i ascending, then j ascending, and the
+    verdict is cached per system (:func:`_is_exceptional_reduced`).
     """
     return _is_exceptional_reduced(
         system.surface.selfints, tuple(a.reduced() for a in system.entries)
     )
 
 
+@functools.lru_cache(maxsize=200_000)
 def _is_exceptional_reduced(selfints: tuple[int, ...], entries: tuple) -> bool:
     """The body of :func:`is_exceptional` on the reduced coefficient tuples
-    of the entries."""
+    of the entries, cached per process under the cap of the ``h0`` cache: a
+    census tests each orbit system again in ``is_constructible`` and in
+    ``certify_full``, and the answer is a function of the arguments."""
     sums = [(0,) * len(selfints)]
     for a in entries[:-1]:
         sums.append(tuple(map(add, sums[-1], a)))

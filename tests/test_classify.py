@@ -170,9 +170,10 @@ def test_system_twist_matches_twist_sequence(selfints):
         # the others, coefficient by coefficient
         seq = to_sequence(s)
         system = from_sequence(seq)
+        coeffs = tuple(a.coeffs for a in system.entries)
         for ray in minus_two_rays(x):
             t = TwistByCurve(x, ray)
-            twisted = _twist(x.divisor(ray), system)
+            twisted = _twist(x, ray, coeffs)
             checked += 1
             try:
                 want = twist_sequence(t, seq)
@@ -181,12 +182,10 @@ def test_system_twist_matches_twist_sequence(selfints):
                 continue
             image, cases = twisted
             assert cases == twist_cases(t, seq)
-            got = to_sequence(image)
+            got = to_sequence(ToricSystem(x, tuple(x.divisor_class(c) for c in image)))
             assert got == want
             assert [e.coeffs for e in got.entries] == [e.coeffs for e in want.entries]
-            assert [a.coeffs for a in image.entries] == [
-                a.coeffs for a in from_sequence(want).entries
-            ]
+            assert list(image) == [a.coeffs for a in from_sequence(want).entries]
             admissible += 1
     assert (checked, admissible) == {7: (196, 88), 8: (5664, 2688)}[x.n]
 
@@ -215,26 +214,108 @@ def test_rank6_certificates_are_pinned():
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
 
 
+# sha256 of the sorted-key JSON list of witness_to_json (null for None) of
+# is_constructible on the 1416 exceptional rank-6 orbit systems, in the order
+# of orbit(standard_system(x), weyl_group(x)); taken when witnesses were still
+# rebuilt through deaugment on DivisorClass objects
+RANK6_WITNESSES_DIGEST = "a55c2252adab6fd10844da86a8ad8c1a3a4ed8da78eff487e4908c93c978aca5"
+
+
+def _rank6_witnesses_digest():
+    import hashlib
+    import json
+
+    from torsys.schema import witness_to_json
+
+    x = from_selfints(RANK6)
+    witnesses = [
+        is_constructible(s)
+        for s in orbit(standard_system(x), weyl_group(x))
+        if is_exceptional(s)
+    ]
+    assert len(witnesses) == 1416
+    blob = json.dumps(
+        [None if w is None else witness_to_json(w) for w in witnesses], sort_keys=True
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_rank6_certificates_do_not_depend_on_the_search_cache():
-    # the searches of two orbit reports fill the cache first, and the
+    # the searches of two orbit reports fill the caches first, and the
     # certificates are then made in reverse order: each witness is replayed
-    # on its own input's coefficients, so the digest stays put
+    # on its own input's coefficients, so the digests stay put
     import hashlib
     import json
 
     from torsys.classify import _path
     from torsys.schema import certificate_to_json
+    from torsys.systems import _is_exceptional_reduced
 
     _path.cache_clear()
+    _is_exceptional_reduced.cache_clear()
     orbit_report(rank5.surface())
     nonconstructible = orbit_report(from_selfints(RANK6)).nonconstructible
     assert len(nonconstructible) == 536
     assert _path.cache_info().currsize > 0
+    assert _is_exceptional_reduced.cache_info().currsize > 0
     certs = [
         certify_full(to_sequence(s), max_depth=3) for s in reversed(nonconstructible)
     ]
     blob = json.dumps([certificate_to_json(c) for c in certs[::-1]], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+    assert _rank6_witnesses_digest() == RANK6_WITNESSES_DIGEST
+
+
+def test_rank6_certificates_and_witnesses_from_cold_caches():
+    # the same digests when the searches and the exceptionality tests start
+    # from empty caches
+    import hashlib
+    import json
+
+    from torsys.classify import _path
+    from torsys.schema import certificate_to_json
+    from torsys.systems import _is_exceptional_reduced
+
+    _path.cache_clear()
+    _is_exceptional_reduced.cache_clear()
+    assert _rank6_witnesses_digest() == RANK6_WITNESSES_DIGEST
+    _path.cache_clear()
+    _is_exceptional_reduced.cache_clear()
+    x = from_selfints(RANK6)
+    certs = [
+        certify_full(to_sequence(s), max_depth=3)
+        for s in orbit(standard_system(x), weyl_group(x))
+        if is_exceptional(s) and is_constructible(s) is None
+    ]
+    assert len(certs) == 536
+    blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+
+
+def test_census_tests_each_system_for_exceptionality_once():
+    # is_constructible and certify_full test their inputs again, and every
+    # twisted image lies in the orbit: the exceptionality cache answers
+    # those repeats, and certify_full tests no system the census has not
+    from torsys.classify import _path
+    from torsys.systems import _is_exceptional_reduced
+
+    _path.cache_clear()
+    _is_exceptional_reduced.cache_clear()
+    x = from_selfints(RANK6)
+    systems = orbit(standard_system(x), weyl_group(x))
+    exceptional = [s for s in systems if is_exceptional(s)]
+    info = _is_exceptional_reduced.cache_info()
+    assert (info.hits, info.misses) == (0, 1920)
+    nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    searched = _is_exceptional_reduced.cache_info()
+    # each of the 1416 inputs is a hit, and so is every de-augmented system
+    # that an earlier search already met
+    assert searched.hits >= 1416
+    certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
+    assert all(c.verdict == "full" for c in certs)
+    certified = _is_exceptional_reduced.cache_info()
+    assert certified.misses == searched.misses
+    assert certified.hits - searched.hits >= 536
 
 
 def test_orbit_report_rank5():
@@ -433,6 +514,73 @@ def test_search_kernel_label_check_fires_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "label check fired\n"
+
+
+_REBUILD_CHECKS_SCRIPT = r"""
+import sys
+
+import torsys.classify
+from torsys import from_selfints
+from torsys.classify import _search
+from torsys.surface import InternalInconsistency
+from torsys.systems import ToricSystem, standard_system
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
+std = standard_system(x)
+moves, label = torsys.classify._path(x.selfints, tuple(a.reduced() for a in std.entries))
+ray, position = moves[0]
+print("genuine", len(_search(std).steps))
+
+# the first move points at the entry after the ray's class
+shifted = (((ray, (position + 1) % x.n),) + moves[1:], label)
+torsys.classify._path = lambda selfints, entries: shifted
+try:
+    _search(std)
+    print("accepted")
+except InternalInconsistency as exc:
+    print("position check fired:", "does not reverse an augmentation" in str(exc))
+
+# D_{ray+2} + D_ray meets D_ray in -1; the system is built unchecked
+entries = list(std.entries)
+far = (ray + 2) % x.n
+entries[far] = entries[far] + x.divisor(ray)
+bad = ToricSystem(x, tuple(entries))
+torsys.classify._path = lambda selfints, entries: (((ray, ray),), label)
+try:
+    _search(bad)
+    print("accepted")
+except InternalInconsistency as exc:
+    print("orthogonality check fired:", "orthogonal complement" in str(exc))
+"""
+
+
+def test_witness_rebuild_checks_fire_under_optimize():
+    # _search rebuilds a witness from the kernel's moves on coefficient
+    # tuples; a move whose position does not hold the ray's class, and an
+    # entry that meets the exceptional class, are bugs and raise under -O
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REBUILD_CHECKS_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "genuine 3",
+        "position check fired: True",
+        "orthogonality check fired: True",
+    ]
 
 
 def test_orbit_report_rank4_all_constructible():

@@ -274,3 +274,26 @@ def test_gram_matrices_are_unimodular_so_isometries_have_det_one():
     for selfints in (RANK3, RANK4, rank5.SELFINTS, RANK6):
         x = from_selfints(selfints)
         assert {abs(_intlinalg.det(g.matrix)) for g in weyl_group(x)} == {1}
+
+
+def test_isometries_share_one_canonical_class_per_surface(monkeypatch):
+    # Isometry checks M K = K on coordinates the surface computes once; the
+    # check itself still rejects a pairing-preserving matrix that moves K
+    from torsys.surface import ToricSurface
+
+    group = weyl_group(from_selfints(RANK6))
+    fresh = ToricSurface(RANK6)  # not interned, so nothing is cached on it
+    built = []
+    canonical = ToricSurface.canonical_class
+
+    def counting(self):
+        built.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(ToricSurface, "canonical_class", counting)
+    for g in group:
+        Isometry(fresh, g.matrix)
+    assert len(built) == 1
+    minus = tuple(tuple(-v for v in row) for row in _intlinalg.identity(fresh.pic_rank))
+    with pytest.raises(ValueError, match="canonical class"):
+        Isometry(fresh, minus)

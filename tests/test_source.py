@@ -149,3 +149,50 @@ def test_rank6_certificate_digest_is_taken_with_the_schema_writer():
         if isinstance(node, ast.ImportFrom) and "certificate_to_json" in [a.name for a in node.names]
     ]
     assert imports == [("torsys.schema", ["certificate_to_json"])]
+
+
+def test_one_deaugmentation_body():
+    # _deaugment_coeffs in systems.py is the only de-augmentation: classify.py
+    # defines none of its own, only _deaugment_coeffs names the blow-down and
+    # pushdown primitives, and the public deaugment, the search kernel _path
+    # and the witness rebuild _search all reach it through their calls
+    base = pathlib.Path(torsys.__file__).parent
+    functions = {}
+    for module in ("systems.py", "classify.py"):
+        tree = ast.parse((base / module).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+        if module == "classify.py":
+            own = [
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and "deaugment" in node.name.lower()
+            ]
+            assert own == []
+
+    def names(function):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(functions[function])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+
+    def reaches(start, target):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == target:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(names(name) & set(functions))
+        return False
+
+    primitives = {"blow_down", "pushdown", "_drop_exceptional", "_unit_relation"}
+    assert sorted(f for f in functions if names(f) & primitives) == ["_deaugment_coeffs"]
+    assert {f: reaches(f, "_deaugment_coeffs") for f in ("_path", "_search", "deaugment")} == {
+        "_path": True,
+        "_search": True,
+        "deaugment": True,
+    }

@@ -188,6 +188,56 @@ def test_deaugment_images_are_valid_and_invert_augmentation():
     assert deaugmented == 72 + 300
 
 
+def _reference_deaugment(system, position, ray):
+    """deaugment as it ran on DivisorClass objects: the neighbours absorb R
+    by class addition and every merged entry is pushed down, here by the
+    dot-product-and-xgcd reference of tests/test_surface.py, which shares no
+    code with pushdown."""
+    from test_surface import _reference_pushdown
+
+    x = system.surface
+    r = x.divisor(ray)
+    n = len(system.entries)
+    merged = list(system.entries)
+    for j in ((position - 1) % n, (position + 1) % n):
+        merged[j] = merged[j] + r
+    del merged[position]
+    rel = x.blow_down(ray)
+    below = rel.below
+    return ToricSystem(
+        below, tuple(below.divisor_class(_reference_pushdown(rel, a)) for a in merged)
+    )
+
+
+def test_deaugment_equals_the_object_reference_coefficient_by_coefficient():
+    # on the orbit systems (reduced coefficients) and on their round trips
+    # through to_sequence / from_sequence (a last entry that is not reduced)
+    from torsys.isometry import weyl_orbit
+
+    counts = {}
+    for selfints in [(-1, -1, -1, -1, -1, -1), rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)]:
+        x = from_selfints(selfints)
+        checked = shifted = 0
+        for s in weyl_orbit(x):
+            for system in (s, from_sequence(to_sequence(s))):
+                for ray in x.contractible_rays():
+                    for position, entry in enumerate(system.entries):
+                        if entry != x.divisor(ray):
+                            continue
+                        got, r = deaugment(system, position, ray)
+                        want = _reference_deaugment(system, position, ray)
+                        assert r == x.divisor(ray)
+                        assert got.surface.selfints == want.surface.selfints
+                        assert [a.coeffs for a in got.entries] == [
+                            a.coeffs for a in want.entries
+                        ]
+                        checked += 1
+                        shifted += any(a.coeffs[ray] for a in system.entries)
+        counts[x.pic_rank] = checked
+        assert shifted > 0  # the relation shift of pushdown was exercised
+    assert counts == {4: 2 * 72, 5: 2 * 300, 6: 2 * 1920}
+
+
 def test_deaugment_errors():
     x = rank5.surface()
     s = standard_system(x)
@@ -292,10 +342,10 @@ for s in orbit(standard_system(x), weyl_group(x))[::48]:
                 ToricSystem.validate(sub.surface, sub.entries)
                 deaugmented += 1
     for ray in minus_two_rays(x):
-        twisted_system = _twist(x.divisor(ray), s)
+        twisted_system = _twist(x, ray, tuple(a.coeffs for a in s.entries))
         if twisted_system is not None:
             image, _ = twisted_system
-            ToricSystem.validate(x, image.entries)
+            ToricSystem.validate(x, [x.divisor_class(c) for c in image])
             reflected += 1
         try:
             out = twist_sequence(TwistByCurve(x, ray), to_sequence(s))
