@@ -8,6 +8,10 @@ equations in a good basis, where K = -3H + R_1 + ... + R_l pins the linear
 constraint 3 d_0 = -sum d_i and the quadric gives sum d_i^2 = d_0^2 + 2.
 One reflection BFS moves the Pic basis for :func:`weyl_group` (validated
 matrices) and the standard system's entries for :func:`weyl_orbit` (no matrix).
+It keys each element by its pairings with the roots, packed into one int,
+so a product with a reflection is one shift, mask, multiply and add.
+:class:`Isometry` checks each matrix against cached products G c of the
+surface's own Gram matrix, and :func:`orbit` builds images from columns.
 """
 
 from __future__ import annotations
@@ -52,19 +56,27 @@ class Isometry:
     Validation checks M^T G M = G and M K = K.  That already makes M
     invertible over the integers: taking determinants, det(M)^2 det G = det G,
     and the Gram matrix G of Pic is unimodular (det G = +-1, by Poincare
-    duality), so det M = +-1.
+    duality), so det M = +-1.  Entry (i, j) of M^T G M is c_i.(G c_j) for
+    the columns c of M, and both sides are symmetric, so only i <= j is
+    checked.  G c comes from the surface's own cache of its Gram matrix.
     """
 
     surface: ToricSurface
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        g = self.surface.gram_matrix()
+        x = self.surface
+        g = x.gram_matrix()
         m = self.matrix
-        mt = tuple(zip(*m))
-        if _intlinalg.mat_mul(mt, _intlinalg.mat_mul(g, m)) != g:
-            raise ValueError("matrix does not preserve the intersection pairing")
-        k = self.surface.canonical_coords()
+        if len(m) != len(g) or any(len(row) != len(g) for row in m):
+            raise ValueError(f"matrix is not {len(g)} x {len(g)}")
+        cols = tuple(zip(*m))
+        for j, gc in enumerate(map(x._gram_image, cols)):
+            row = g[j]
+            for i in range(j + 1):
+                if sum(map(mul, cols[i], gc)) != row[i]:
+                    raise ValueError("matrix does not preserve the intersection pairing")
+        k = x.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
 
@@ -162,8 +174,9 @@ def reflection(root: Root) -> Isometry:
 
 
 def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
-    """Breadth-first closure of the root reflections: yields the images w(u)
-    of the ``start`` coordinate vectors under each element w, identity first.
+    """Breadth-first closure of the root reflections: yields, for each
+    element w, identity first, its key and the images w(u) of the ``start``
+    coordinate vectors.
 
     Elements are told apart by their image w(v) of one regular vector v, an
     integer vector with r.v != 0 for every root r: the first
@@ -176,10 +189,29 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     as r.v != 0 for every root.  So w(v) = v only for the identity, and
     w -> w(v) is injective.
 
-    The reflection at a root r is u -> u + (r.u) r, so the image under a
-    product is s_r(w(v)) = w(v) + (r.w(v)) r: one dot product per element
-    and generator.  Only a new element gets the images of ``start``, each
-    image stored once.  Products are met in the same order as under
+    The key of w is its pairing vector f = (r_a.w(v))_a over the distinct
+    reflections r_0, r_1, ..., packed into one int: slot a, ``width`` bits
+    wide, holds f_a + ``bound``.  f is injective on the orbit of v.  The
+    roots span K^perp over Q (W is the Weyl group of a root system of rank
+    rho - 1), and K.w(v) = K.v as w fixes K and keeps the pairing.  Since
+    K^2 != 0, Pic_Q = K^perp + QK, and the pairing is non-degenerate on each
+    summand, so f and K.v fix w(v), and so w.
+
+    The slot width is proven, once per surface.  Write u = u' + (u.K/K^2) K
+    with u' in K^perp.  For a root r, r.u = r.u', and Cauchy-Schwarz for
+    the negative definite pairing on K^perp gives
+    (r.u)^2 <= (-r^2)(-u'^2) = 2(-u^2 + (u.K)^2/K^2).  For u = w(v) the
+    right side is that of v, since u^2 = v^2 and u.K = v.K.  So every
+    f_a lies in [-bound, bound], bound = isqrt(2((v.K)^2 - v^2 K^2) // K^2),
+    and f_a + bound fits ``width`` = (2 bound).bit_length() bits.  As every
+    slot stays in range, the int is exactly sum_a (f_a + bound) 2^(a width),
+    and sums of such ints add slot by slot with no carry.
+
+    The reflection at a root r_b is u -> u + (r_b.u) r_b, so
+    s_b w has f'_a = f_a + f_b (r_a.r_b): the new key is
+    F + f_b P_b, where P_b packs (r_a.r_b)_a, and f_b is one shift, mask
+    and subtraction.  Only a new element gets the images of ``start``,
+    each image stored once.  Products are met in the same order as under
     deduplication on whole matrices, so the element order is that of the
     plain matrix closure.
     """
@@ -194,8 +226,18 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
         gens.setdefault(
             min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc))
         )
-    v = _regular_vector([rg for _, rg in gens.values()])
-    seen = {v}
+    rcs = [rc for rc, _ in gens.values()]
+    rgs = [rg for _, rg in gens.values()]
+    v = _regular_vector(rgs)
+    bound, width = _pairing_slots(x, v)
+    mask = (1 << width) - 1
+    # (shift of slot b, P_b, r_b, G r_b) per distinct reflection
+    steps = [
+        (b * width, _pack([sum(map(mul, ra, rb)) for ra in rgs], 0, width), rb, gb)
+        for b, (rb, gb) in enumerate(zip(rcs, rgs))
+    ]
+    key = _pack([sum(map(mul, rg, v)) for rg in rgs], bound, width)
+    seen = {key}
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def reflect(u, rc, rg):
@@ -203,23 +245,42 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
         u = tuple(a + pair * b for a, b in zip(u, rc))
         return vectors.setdefault(u, u)
 
-    frontier = [(v, start)]
-    yield start
+    frontier = [(key, start)]
+    yield key, start
     while frontier:
         new = []
-        for hv, images in frontier:
-            for rc, rg in gens.values():
-                pair = sum(map(mul, rg, hv))
-                image = tuple(a + pair * b for a, b in zip(hv, rc))
-                if image in seen:
+        for key, images in frontier:
+            for shift, pack, rc, rg in steps:
+                product = key + (((key >> shift) & mask) - bound) * pack
+                if product in seen:
                     continue
-                seen.add(image)
+                seen.add(product)
                 if len(seen) > WEYL_MAX_ELEMENTS:
                     raise SizeCapExceeded(f"group exceeded {WEYL_MAX_ELEMENTS} elements")
                 moved = tuple(reflect(u, rc, rg) for u in images)
-                yield moved
-                new.append((image, moved))
+                yield product, moved
+                new.append((product, moved))
         frontier = new
+
+
+def _pairing_slots(x: ToricSurface, v: tuple[int, ...]) -> tuple[int, int]:
+    """(bound, width) for the pairing keys of :func:`_reflection_closure`:
+    |r.w(v)| <= bound for every root r and Weyl element w, and width is the
+    least number of bits that holds 0..2 bound.  See the closure's
+    docstring for the proof."""
+    gram = x.gram_matrix()
+    k = x.canonical_coords()
+    gk = _intlinalg.mat_vec(gram, k)
+    kk = sum(map(mul, k, gk))
+    vk = sum(map(mul, v, gk))
+    vv = sum(map(mul, v, _intlinalg.mat_vec(gram, v)))
+    bound = isqrt(2 * (vk * vk - vv * kk) // kk)
+    return bound, (2 * bound).bit_length()
+
+
+def _pack(values, offset: int, width: int) -> int:
+    """sum_a (values[a] + offset) 2^(a width)."""
+    return sum((f + offset) << (a * width) for a, f in enumerate(values))
 
 
 def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
@@ -227,7 +288,9 @@ def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
     the Pic basis; equal rows are stored once."""
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     images = _reflection_closure(x, _intlinalg.identity(x.pic_rank))
-    return tuple(Isometry(x, tuple(rows.setdefault(r, r) for r in zip(*cols))) for cols in images)
+    return tuple(
+        Isometry(x, tuple(rows.setdefault(r, r) for r in zip(*cols))) for _, cols in images
+    )
 
 
 def weyl_orbit(x: ToricSurface) -> list[ToricSystem]:
@@ -236,7 +299,7 @@ def weyl_orbit(x: ToricSurface) -> list[ToricSystem]:
     images = _reflection_closure(x, tuple(a.coords() for a in standard_system(x).entries))
     # one class per distinct image: the orbit repeats few classes many times
     classes = functools.cache(x.class_from_coords)
-    return [ToricSystem(x, tuple(map(classes, coords))) for coords in images]
+    return [ToricSystem(x, tuple(map(classes, coords))) for _, coords in images]
 
 
 def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -300,15 +363,26 @@ def orbit(system: ToricSystem, isometries) -> list[ToricSystem]:
     """Entrywise images w(A) for each w, deduplicated as exact sequences,
     in the order the isometries are supplied.  Images are built unchecked,
     with one class per distinct image: the :class:`Isometry` constructor
-    proved that each map preserves the pairing and fixes K."""
+    proved that each map preserves the pairing and fixes K.  w(u) is the
+    sum of u_j times column j of w's matrix over the non-zero u_j; most
+    start coordinates are unit vectors, whose image is one column."""
     x = system.surface
-    start = [a.coords() for a in system.entries]
+    # (j, u_j) over the non-zero coordinates of each entry
+    start = [tuple((j, c) for j, c in enumerate(a.coords()) if c) for a in system.entries]
+    zero = (0,) * x.pic_rank
     classes = functools.cache(x.class_from_coords)
     seen = set()
     out: list[ToricSystem] = []
+
+    def image(cols, terms):
+        if len(terms) == 1 and terms[0][1] == 1:
+            return cols[terms[0][0]]
+        return tuple(map(sum, zip(zero, *([c * a for a in cols[j]] for j, c in terms))))
+
     for w in isometries:
         x._require_same(w.surface)
-        coords = tuple(_intlinalg.mat_vec(w.matrix, u) for u in start)
+        cols = tuple(zip(*w.matrix))
+        coords = tuple(image(cols, terms) for terms in start)
         if coords not in seen:
             seen.add(coords)
             out.append(ToricSystem(x, tuple(map(classes, coords))))

@@ -60,6 +60,14 @@ def _least_rotation(seq: tuple) -> tuple:
     return min(images, default=seq)
 
 
+def _divisor_pairings(selfints: tuple[int, ...], e: tuple[int, ...]):
+    """The intersection numbers D_i . E, i = 1..n, of the invariant divisors
+    with the class of coefficients ``e``, as an iterator: row i of the
+    intersection matrix meets e in a_i e_i + e_{i-1} + e_{i+1}."""
+    neighbours = map(add, e[-1:] + e[:-1], e[1:] + e[:1])
+    return map(add, map(mul, selfints, e), neighbours)
+
+
 def _det2(u: Vec2, v: Vec2) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -144,6 +152,7 @@ class ToricSurface:
         self.selfints = selfints
         self.rays = rays
         self._blow_downs: dict[int, BlowupRelation] = {}
+        self._gram_images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # basic numerology -----------------------------------------------------
 
@@ -228,6 +237,16 @@ class ToricSurface:
     def _gram(self) -> tuple[tuple[int, ...], ...]:
         basis = [self.divisor(i) for i in range(2, self.n)]
         return tuple(tuple(a.dot(b) for b in basis) for a in basis)
+
+    def _gram_image(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """G c for a coordinate vector c, from :meth:`gram_matrix`, cached by c:
+        the columns of the Weyl group's matrices repeat few vectors."""
+        image = self._gram_images.get(coords)
+        if image is None:
+            image = self._gram_images[coords] = tuple(
+                sum(map(mul, row, coords)) for row in self._gram
+            )
+        return image
 
     def canonical_coords(self) -> tuple[int, ...]:
         return self._canonical_coords
@@ -415,12 +434,7 @@ class DivisorClass:
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number; bilinear in D_i . D_j = a_i, 1, 0."""
         self.surface._require_same(other.surface)
-        c, e = self.coeffs, other.coeffs
-        # row i of the intersection matrix meets e in a_i e_i + e_{i-1} + e_{i+1}
-        neighbours = map(add, e[-1:] + e[:-1], e[1:] + e[:1])
-        return sum(
-            map(mul, c, map(add, map(mul, self.surface.selfints, e), neighbours))
-        )
+        return sum(map(mul, self.coeffs, _divisor_pairings(self.surface.selfints, other.coeffs)))
 
     def square(self) -> int:
         return self.dot(self)

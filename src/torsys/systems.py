@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 
 from .cohomology import _vanishes_cached
 from .surface import (
@@ -22,6 +22,7 @@ from .surface import (
     InvalidFan,
     ToricSurface,
     _least_rotation,
+    _divisor_pairings,
     from_selfints,
 )
 
@@ -66,24 +67,9 @@ class ToricSystem:
     @classmethod
     def validate(cls, surface: ToricSurface, entries) -> "ToricSystem":
         entries = tuple(entries)
-        n = surface.n
-        if len(entries) != n:
-            raise BadLength(f"expected {n} entries, got {len(entries)}")
         for a in entries:
             surface._require_same(a.surface)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = entries[i].dot(entries[j])
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if adjacent and v != 1:
-                    raise BadIntersection(i, j, v)
-                if not adjacent and v != 0:
-                    raise BadIntersection(i, j, v)
-        total = entries[0]
-        for a in entries[1:]:
-            total = total + a
-        if total != -surface.canonical_class():
-            raise BadCanonicalSum(f"entries sum to {total.reduced()}, not -K")
+        _check_axioms(surface, tuple(a.coeffs for a in entries))
         return cls(surface, entries)
 
     def __len__(self) -> int:
@@ -171,17 +157,43 @@ def standard_system(x: ToricSurface) -> ToricSystem:
     return ToricSystem.validate(x, tuple(x.divisor(i) for i in range(x.n)))
 
 
+def _check_axioms(x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]) -> None:
+    """The toric-system axioms on the entries' coefficient tuples: n entries,
+    A_i . A_j = 1 for cyclic neighbours and 0 otherwise (by the intersection
+    formula of :func:`_divisor_pairings`), and sum A_i = -K = (1, ..., 1)
+    modulo relations.  The one validation body, for
+    :meth:`ToricSystem.validate` and :func:`from_sequence`."""
+    n = x.n
+    if len(coeffs) != n:
+        raise BadLength(f"expected {n} entries, got {len(coeffs)}")
+    pairings = [tuple(_divisor_pairings(x.selfints, e)) for e in coeffs]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = sum(map(mul, coeffs[i], pairings[j]))
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if v != (1 if adjacent else 0):
+                raise BadIntersection(i, j, v)
+    total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
+    if total != x.reduce_coeffs((1,) * n):
+        raise BadCanonicalSum(f"entries sum to {total}, not -K")
+
+
 def from_sequence(seq) -> ToricSystem:
     """Toric system of consecutive differences A_i = E_{i+1} - E_i, closed by
     A_n = -K - sum of the others.  Raises the validation errors when the
-    sequence is not exceptional-shaped."""
+    sequence is not exceptional-shaped.  Runs on coefficient tuples and
+    builds the entries once, after :func:`_check_axioms` passed."""
     if not isinstance(seq, LineBundleSequence):
         seq = LineBundleSequence.of(seq)
-    diffs = [seq.entries[i + 1] - seq.entries[i] for i in range(len(seq) - 1)]
-    last = -seq.surface.canonical_class()
-    for a in diffs:
-        last = last - a
-    return ToricSystem.validate(seq.surface, diffs + [last])
+    x = seq.surface
+    for e in seq.entries:
+        x._require_same(e.surface)
+    bundles = [e.coeffs for e in seq.entries]
+    coeffs = [tuple(map(sub, b, a)) for a, b in zip(bundles, bundles[1:])]
+    # -K has coefficients (1, ..., 1)
+    coeffs.append(tuple(1 - t for t in map(sum, zip((0,) * x.n, *coeffs))))
+    _check_axioms(x, tuple(coeffs))
+    return ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
 
 
 def to_sequence(system: ToricSystem) -> LineBundleSequence:

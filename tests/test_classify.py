@@ -644,15 +644,19 @@ def test_orbit_report_pairing_equals_the_quadratic_scan():
 
 def test_search_path_validates_only_its_input(monkeypatch):
     # orbit images, de-augmentations and twisted systems are built unchecked;
-    # only the standard system and each certify_full input are validated
+    # only the standard system and each certify_full input are validated,
+    # through the one validation body that ToricSystem.validate and
+    # from_sequence share
+    import torsys.systems
+
     calls = []
-    validate = ToricSystem.validate.__func__
+    check = torsys.systems._check_axioms
 
-    def counting(cls, surface, entries):
+    def counting(surface, coeffs):
         calls.append(surface)
-        return validate(cls, surface, entries)
+        return check(surface, coeffs)
 
-    monkeypatch.setattr(ToricSystem, "validate", classmethod(counting))
+    monkeypatch.setattr(torsys.systems, "_check_axioms", counting)
     rep = orbit_report(rank5.surface())
     assert len(calls) == 1
     for s in (standard_system(rank5.surface()),) + rep.nonconstructible:

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -20,6 +21,7 @@ import rank5
 RANK3 = (-1, -1, -1, 0, 0)
 RANK4 = (-1, -1, -1, -1, -1, -1)
 RANK6 = (-2, -1, -2, -1, -2, -1, -2, -1)
+RANK7 = (-2, -2, -1, -3, -1, -2, -1, -2, -1)  # |W(E6)| = 51,840
 # sha256 of repr([g.matrix for g in weyl_group(x)]), taken from the closure
 # deduplicated on whole matrices; pins the element order, and with it the
 # order of every orbit built from the group
@@ -297,3 +299,223 @@ def test_isometries_share_one_canonical_class_per_surface(monkeypatch):
     minus = tuple(tuple(-v for v in row) for row in _intlinalg.identity(fresh.pic_rank))
     with pytest.raises(ValueError, match="canonical class"):
         Isometry(fresh, minus)
+
+
+def _generators(x):
+    """The distinct reflections as (r, G r), the first of each pair r, -r in
+    root order, and the regular vector v that tells elements apart."""
+    from torsys.isometry import _regular_vector
+
+    gram = x.gram_matrix()
+    gens = {}
+    for r in roots(x):
+        rc = r.cls.coords()
+        gens.setdefault(min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc)))
+    gens = list(gens.values())
+    return gens, _regular_vector([rg for _, rg in gens])
+
+
+def _reference_closure(x, start):
+    """The reflection BFS keyed on the tuple w(v) itself: yields the images of
+    ``start`` under each element, identity first."""
+    gens, v = _generators(x)
+    seen = {v}
+    frontier = [(v, start)]
+    yield start
+    while frontier:
+        new = []
+        for hv, images in frontier:
+            for rc, rg in gens:
+                pair = sum(map(mul, rg, hv))
+                image = tuple(a + pair * b for a, b in zip(hv, rc))
+                if image in seen:
+                    continue
+                seen.add(image)
+                moved = tuple(
+                    tuple(a + sum(map(mul, rg, u)) * b for a, b in zip(u, rc)) for u in images
+                )
+                yield moved
+                new.append((image, moved))
+        frontier = new
+
+
+@pytest.mark.parametrize(
+    "selfints", [RANK3, RANK4, rank5.SELFINTS, RANK6], ids=["rank3", "rank4", "rank5", "rank6"]
+)
+def test_packed_closure_equals_the_tuple_keyed_reference(selfints):
+    # the same elements, in the same order, from keys packed into one int
+    from torsys.isometry import _reflection_closure
+
+    x = from_selfints(selfints)
+    basis = _intlinalg.identity(x.pic_rank)
+    got = [images for _, images in _reflection_closure(x, basis)]
+    assert got == list(_reference_closure(x, basis))
+
+
+@pytest.mark.parametrize(
+    "selfints,order",
+    [(RANK3, 2), (RANK4, 12), (rank5.SELFINTS, 120), (RANK6, 1920), (RANK7, 51840)],
+    ids=["rank3", "rank4", "rank5", "rank6", "rank7"],
+)
+def test_packed_pairings_fit_their_proven_slot_width(selfints, order):
+    # every key unpacks to the exact pairings (r_a . w(v))_a, each within the
+    # Cauchy-Schwarz bound; a slot one bit narrower would not hold them
+    from torsys.isometry import _pairing_slots, _reflection_closure
+
+    x = from_selfints(selfints)
+    gens, v = _generators(x)
+    bound, width = _pairing_slots(x, v)
+    gram = x.gram_matrix()
+    k = x.canonical_coords()
+    kk = sum(map(mul, k, _intlinalg.mat_vec(gram, k)))
+    vk = sum(map(mul, v, _intlinalg.mat_vec(gram, k)))
+    vv = sum(map(mul, v, _intlinalg.mat_vec(gram, v)))
+    # bound = floor(sqrt(2((v.K)^2 - v^2 K^2) / K^2)), in exact integers
+    assert kk * bound**2 <= 2 * (vk * vk - vv * kk) < kk * (bound + 1) ** 2
+    assert 1 << (width - 1) <= 2 * bound < 1 << width
+    mask = (1 << width) - 1
+    count = 0
+    for key, (wv,) in _reflection_closure(x, (v,)):
+        assert key >> (len(gens) * width) == 0
+        f = [((key >> (a * width)) & mask) - bound for a in range(len(gens))]
+        assert f == [sum(map(mul, rg, wv)) for _, rg in gens]
+        assert max(map(abs, f)) <= bound
+        count += 1
+    assert count == order
+
+
+def _broken_pairings(x, m):
+    """The (i, j), i <= j, where M^T G M differs from G, by matrix products."""
+    g = x.gram_matrix()
+    p = _intlinalg.mat_mul(tuple(zip(*m)), _intlinalg.mat_mul(g, m))
+    return [(i, j) for i in range(len(g)) for j in range(i, len(g)) if p[i][j] != g[i][j]]
+
+
+# on the rank-5 surface, whose K has coordinates (-1, -2, -2, -1, 0): the
+# identity with column 4 replaced, so that M K = K stays true
+ONE_OFF_DIAGONAL = (  # column 4 = (1, 1, 0, 0, 1): only c_2 . G c_4 changes
+    (1, 0, 0, 0, 1),
+    (0, 1, 0, 0, 1),
+    (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1),
+)
+ONE_DIAGONAL = (  # column 4 = e_4 + 2 G^-1 e_4: only c_4 . G c_4 changes
+    (1, 0, 0, 0, 2),
+    (0, 1, 0, 0, 2),
+    (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, -2),
+    (0, 0, 0, 0, -3),
+)
+
+_REJECT_SCRIPT = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import rank5
+from torsys.isometry import Isometry
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+x = rank5.surface()
+minus = tuple(tuple(-int(i == j) for j in range(5)) for i in range(5))
+for m in ({ONE_OFF_DIAGONAL!r}, {ONE_DIAGONAL!r}, minus, ((1, 0, 0, 0, 0),) * 4):
+    try:
+        Isometry(x, m)
+        print("accepted")
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_isometry_rejects_one_broken_pairing_a_moved_k_and_a_bad_shape():
+    x = rank5.surface()
+    k = x.canonical_coords()
+    assert _broken_pairings(x, ONE_OFF_DIAGONAL) == [(2, 4)]
+    assert _broken_pairings(x, ONE_DIAGONAL) == [(4, 4)]
+    for m in (ONE_OFF_DIAGONAL, ONE_DIAGONAL):
+        assert _intlinalg.mat_vec(m, k) == k
+        with pytest.raises(ValueError, match="intersection pairing"):
+            Isometry(x, m)
+    minus = tuple(tuple(-v for v in row) for row in _intlinalg.identity(5))
+    assert _broken_pairings(x, minus) == []
+    with pytest.raises(ValueError, match="canonical class"):
+        Isometry(x, minus)
+    with pytest.raises(ValueError, match="5 x 5"):
+        Isometry(x, ((1, 0, 0, 0, 0),) * 4)
+
+
+def test_isometry_rejections_hold_under_optimize():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    here = str(pathlib.Path(__file__).resolve().parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECT_SCRIPT, here],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "matrix does not preserve the intersection pairing",
+        "matrix does not preserve the intersection pairing",
+        "matrix does not fix the canonical class",
+        "matrix is not 5 x 5",
+    ]
+
+
+def test_isometries_read_gram_images_the_surface_computes():
+    # Isometry takes G c from a per-surface cache keyed by the column c; the
+    # cache holds G c from the surface's Gram matrix, one entry per distinct
+    # column of the group
+    from torsys.surface import ToricSurface
+
+    group = weyl_group(from_selfints(RANK6))
+    fresh = ToricSurface(RANK6)
+    for g in group:
+        Isometry(fresh, g.matrix)
+    columns = {c for g in group for c in zip(*g.matrix)}
+    assert set(fresh._gram_images) == columns
+    gram = fresh.gram_matrix()
+    for c, image in fresh._gram_images.items():
+        assert image == _intlinalg.mat_vec(gram, c)
+
+
+def _reference_orbit(system, isometries):
+    """Entry coordinates of the distinct images, by mat_vec on the rows."""
+    start = [a.coords() for a in system.entries]
+    out, seen = [], set()
+    for w in isometries:
+        coords = tuple(_intlinalg.mat_vec(w.matrix, u) for u in start)
+        if coords not in seen:
+            seen.add(coords)
+            out.append(coords)
+    return out
+
+
+def test_orbit_images_equal_the_mat_vec_reference():
+    # orbit sums scaled matrix columns over the non-zero start coordinates;
+    # start from systems with coordinates outside {0, 1}.  The negated system
+    # is not a toric system (it sums to K), which orbit does not check
+    x = rank5.surface()
+    base = weyl_orbit(x)
+    starts = [
+        base[7].rotate(3),
+        base[50].mirror(),
+        ToricSystem(x, tuple(-1 * a for a in base[99].entries)),
+    ]
+    for isometries, systems in (
+        (all_k_isometries(x), starts),
+        (weyl_group(from_selfints(RANK6)), [weyl_orbit(from_selfints(RANK6))[1000].rotate(5)]),
+    ):
+        for s in systems:
+            values = {c for a in s.entries for c in a.coords()}
+            assert values - {0, 1}
+            got = [tuple(a.coords() for a in t.entries) for t in orbit(s, isometries)]
+            assert got == _reference_orbit(s, isometries)
