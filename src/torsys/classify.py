@@ -8,23 +8,23 @@ twisted image is constructible, the original sequence is full as well, and the
 certificate records the twists plus a replayable de-augmentation witness.
 
 Every search, from :func:`is_constructible`, :func:`certify_full` and
-:func:`orbit_report`, runs through one kernel, :func:`_path`, on the reduced
-coefficient tuples of the entries, cached per process.  Twists are root
-reflections, so the twisted images of an orbit system lie in the same Weyl
-orbit, and a census searches each system once; the exceptionality test is
-cached the same way, so a census also tests each system once.  The kernel
-returns moves only; :func:`_search` rebuilds the witness from them on the
-caller's own coefficient tuples, so witnesses and certificates do not depend
-on the caches.  Every de-augmentation, in the kernel, in that rebuild and in
-the public ``deaugment``, runs through one body, ``_deaugment_coeffs`` in
-systems.py.  The twist search of :func:`certify_full` runs on coefficient
-tuples too (:func:`_twist`), and classes and systems are built only for what
-a caller receives.
+:func:`orbit_report`, runs through one kernel, :func:`_path`, on the class
+ids of the per-surface table (``_ClassTable`` in systems.py), which keeps
+the kernel's answers.  Twists are root reflections, so the twisted images of
+an orbit system lie in the same Weyl orbit, and a census searches each
+system once; the exceptionality test runs on the same class ids and keeps
+its verdicts in the same tables, so a census also tests each system once.
+The kernel returns moves only; :func:`_search` rebuilds the witness from
+them on the caller's own coefficient tuples, so witnesses and certificates
+do not depend on the tables.  Every de-augmentation, in the kernel, in that
+rebuild and in the public ``deaugment``, runs through one body,
+``_deaugment_coeffs`` in systems.py.  The twist search of
+:func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
+classes and systems are built only for what a caller receives.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -34,15 +34,16 @@ from .surface import (
     FanAutomorphism,
     InternalInconsistency,
     ToricSurface,
-    from_selfints,
 )
 from .systems import (
     HirzebruchSystemClass,
     LineBundleSequence,
     ToricSystem,
     _augment_at_ray,
+    _ClassTable,
     _deaugment_coeffs,
-    _is_exceptional_reduced,
+    _is_exceptional_ids,
+    _system_ids,
     classify_hirzebruch,
     from_sequence,
     is_exceptional,
@@ -137,64 +138,86 @@ def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
     return _search(system)
 
 
-def _reduced_key(system: ToricSystem) -> tuple:
-    """The arguments of :func:`_path` for ``system``."""
-    return system.surface.selfints, tuple(a.reduced() for a in system.entries)
+_UNSEARCHED = object()
 
 
-@functools.lru_cache(maxsize=200_000)
-def _path(selfints: tuple[int, ...], entries: tuple) -> tuple | None:
-    """The de-augmentation search on reduced coefficient tuples: None, or the
-    moves ``((ray, position), ...)`` from the system down to a Hirzebruch
-    surface together with the label of the system reached there.
+def _path(table: _ClassTable, ids: tuple[int, ...]) -> tuple | None:
+    """The de-augmentation search on the class ids ``ids`` of the entries of
+    a system on the surface of ``table``: None, or the moves
+    ``((ray, position), ...)`` from the system down to a Hirzebruch surface
+    together with the label of the system reached there.
 
     Moves are tried depth first, rays ascending, then positions ascending,
     and the first success wins.  Every step is defined on classes: an entry
-    matches a ray when the reduced tuples agree, :func:`_deaugment_coeffs`
-    maps classes to classes (its output is reduced again here), and
-    exceptionality and the label depend on classes only.  So the answer is a
-    function of the arguments, and caching it per process (under the same
-    cap as the ``h0`` and ``vanishes_totally`` caches) changes no answer.
-    Each de-augmented system must be exceptional and on a Hirzebruch surface
-    the label must agree with exceptionality; a miss raises
-    InternalInconsistency, which lru_cache does not store.  The caller checks
-    that the input is exceptional.
+    matches a ray when its id is the id of D_ray, :func:`_deaugment_coeffs`
+    maps classes to classes (its output is reduced and interned in the
+    table below), and exceptionality and the label depend on classes only.
+    So the answer is a function of the arguments, and the table's memo of
+    it (dropped with the tables, see ``CLASS_TABLE_CAP``) changes no answer.
+
+    The entry at a de-augmented position goes; every other entry is pushed
+    down, as a function of its class and of whether it absorbs D_ray.  The
+    table's pushdown memo for the ray keeps those ids below; when an entry
+    misses it, the whole system goes through :func:`_deaugment_coeffs`, the
+    one body, which checks c.E = 0 on every entry, and fills the memo.  So
+    every class in the memo passed that check, and the memo is filled by
+    the body alone.  Each de-augmented system must be exceptional and on a
+    Hirzebruch surface the label must agree with exceptionality; a miss
+    raises InternalInconsistency before the search stores an answer.  The
+    caller checks that the input is exceptional.
     """
-    x = from_selfints(selfints)
-    if x.n == 4:
-        system = ToricSystem(x, tuple(DivisorClass(x, c) for c in entries))
+    found = table.paths.get(ids, _UNSEARCHED)
+    if found is not _UNSEARCHED:
+        table.paths_hits += 1
+        return found
+    table.paths_misses += 1
+    x = table.surface
+    n = x.n
+    if n == 4:
+        system = ToricSystem(x, tuple(DivisorClass(x, table.classes[i]) for i in ids))
         label = classify_hirzebruch(system)
         exceptional = label.is_exceptional_class()
-        if exceptional != _is_exceptional_reduced(selfints, entries):
+        if exceptional != _is_exceptional_ids(table, ids):
             raise InternalInconsistency(
                 f"Hirzebruch label {label.kind}_({label.r},{label.i}) disagrees "
                 "with the cohomological exceptionality test"
             )
-        return ((), label) if exceptional else None
-    if x.n < 4:
-        return None  # no Hirzebruch surface below the minimal ones
-    for ray in x.contractible_rays():
-        r = x.divisor(ray).reduced()
-        for position, entry in enumerate(entries):
+        return table.remember(table.paths, ids, ((), label) if exceptional else None)
+    if n < 4:
+        # no Hirzebruch surface below the minimal ones
+        return table.remember(table.paths, ids, None)
+    for ray, r, sub_table, pushed in table.contractible:
+        for position, entry in enumerate(ids):
             if entry != r:
                 continue
-            below, sub = _deaugment_coeffs(x, entries, position, ray)
-            sub = tuple(map(below.reduce_coeffs, sub))
-            if not _is_exceptional_reduced(below.selfints, sub):
+            absorbing = ((position - 1) % n, (position + 1) % n)
+            keys = tuple(
+                2 * e + (j in absorbing) for j, e in enumerate(ids) if j != position
+            )
+            sub_ids = tuple(map(pushed.get, keys))
+            if None in sub_ids:
+                below, sub = _deaugment_coeffs(
+                    x, tuple(table.classes[i] for i in ids), position, ray
+                )
+                sub_ids = tuple(sub_table.intern(below.reduce_coeffs(c)) for c in sub)
+                table.remember_all(pushed, zip(keys, sub_ids))
+            if not _is_exceptional_ids(sub_table, sub_ids):
                 raise InternalInconsistency(
                     "de-augmentation of an exceptional system went non-exceptional"
                 )
-            found = _path(below.selfints, sub)
+            found = _path(sub_table, sub_ids)
             if found is not None:
                 moves, label = found
-                return ((ray, position),) + moves, label
-    return None
+                return table.remember(
+                    table.paths, ids, (((ray, position),) + moves, label)
+                )
+    return table.remember(table.paths, ids, None)
 
 
 def _search(system: ToricSystem) -> ConstructibilityWitness | None:
     """The witness of :func:`_path` for ``system``, rebuilt by
     :func:`_witness` on the caller's own coefficients."""
-    found = _path(*_reduced_key(system))
+    found = _path(*_system_ids(system))
     if found is None:
         return None
     return _witness(system.surface, tuple(a.coeffs for a in system.entries), found)
@@ -247,18 +270,20 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     there whatever ``max_depth`` is.
     The search runs on the coefficient tuples of toric systems:
     :func:`from_sequence` converts and validates the input once,
-    :func:`_twist` twists tuples, images are told apart by their reduced
-    tuples, and only the certified image becomes a ``ToricSystem`` again,
-    converted back by :func:`to_sequence`.  The bundle-level twist,
+    :func:`_twist` twists tuples, images are told apart by the class ids of
+    their entries, on which both kernels run, and only the certified image
+    becomes a ``ToricSystem`` again, converted back by :func:`to_sequence`.  The bundle-level twist,
     ``torsys.twist.twist_sequence``, is what certificates replay against.
     """
     system = from_sequence(seq)
-    if not is_exceptional(system):
-        raise NotExceptionalInput("fullness certification needs an exceptional sequence")
-    witness = _search(system)
-    if witness is not None:
-        return FullnessCertificate("full", (), witness, seq)
     x = system.surface
+    coeffs = tuple(a.coeffs for a in system.entries)
+    table, ids = _system_ids(system)
+    if not _is_exceptional_ids(table, ids):
+        raise NotExceptionalInput("fullness certification needs an exceptional sequence")
+    found = _path(table, ids)
+    if found is not None:
+        return FullnessCertificate("full", (), _witness(x, coeffs, found), seq)
     rays = minus_two_rays(x)
     notes = (
         f"twist search depth <= {max_depth}",
@@ -268,10 +293,8 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         notes += (
             "constructibility is defined relative to Hirzebruch bases; the 3-ray surface has none",
         )
-    frontier: list[tuple[tuple, tuple[TwistApplication, ...]]] = [
-        (tuple(a.coeffs for a in system.entries), ())
-    ]
-    seen = {tuple(a.reduced() for a in system.entries)}
+    frontier: list[tuple[tuple, tuple[TwistApplication, ...]]] = [(coeffs, ())]
+    seen = {ids}
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
@@ -282,16 +305,16 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                 if twisted is None:
                     continue
                 image, cases = twisted
-                reduced = tuple(map(x.reduce_coeffs, image))
-                if reduced in seen:
+                ids = tuple(table.intern(x.reduce_coeffs(c)) for c in image)
+                if ids in seen:
                     continue
-                seen.add(reduced)
-                if not _is_exceptional_reduced(x.selfints, reduced):
+                seen.add(ids)
+                if not _is_exceptional_ids(table, ids):
                     raise InternalInconsistency(
                         "a twist of an exceptional sequence went non-exceptional"
                     )
                 applied = trail + (TwistApplication(ray, cases),)
-                found = _path(x.selfints, reduced)
+                found = _path(table, ids)
                 if found is not None:
                     final = ToricSystem(x, tuple(DivisorClass(x, c) for c in image))
                     return FullnessCertificate(
@@ -360,7 +383,7 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
         )
     systems = weyl_orbit(x)
     exceptional = [s for s in systems if is_exceptional(s)]
-    nonconstructible = [s for s in exceptional if _path(*_reduced_key(s)) is None]
+    nonconstructible = [s for s in exceptional if _path(*_system_ids(s)) is None]
     index = {s.key(): j for j, s in enumerate(nonconstructible)}
     pairing = []
     autos = [f for f in x.fan_automorphisms() if not f.is_identity()]

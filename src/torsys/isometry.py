@@ -86,11 +86,6 @@ class Isometry:
             _intlinalg.mat_vec(self.matrix, cls.coords())
         )
 
-    def __mul__(self, other: "Isometry") -> "Isometry":
-        """Composition self after other."""
-        self.surface._require_same(other.surface)
-        return Isometry(self.surface, _intlinalg.mat_mul(self.matrix, other.matrix))
-
     def is_identity(self) -> bool:
         return self.matrix == _intlinalg.identity(len(self.matrix))
 

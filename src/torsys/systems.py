@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .cohomology import _vanishes_cached
 from .surface import (
@@ -315,33 +316,188 @@ def is_exceptional(system: ToricSystem) -> bool:
     with j < n has totally vanishing cohomology of its negative.  (The segment
     equals E_{j+1} - E_i for the associated bundle sequence.)
 
-    The partial sums S_0 = 0, S_k = A_1 + ... + A_k (k < n) are formed once,
-    on reduced coefficient tuples, and -(A_i + ... + A_j) is the tuple
-    S_{i-1} - S_j.  Reduced representatives (first two coefficients 0) form a
-    subgroup, so every such difference is already reduced and is looked up in
-    the memo of :func:`torsys.cohomology.vanishes_totally` under its own key.
-    Segments are tested in the order i ascending, then j ascending, and the
-    verdict is cached per system (:func:`_is_exceptional_reduced`).
+    The entries become class ids of the per-surface table
+    (:func:`_system_ids`), and :func:`_is_exceptional_ids` walks the segments
+    on those ids, i ascending, then j ascending, stopping at the first
+    segment whose negative does not vanish; the verdict is kept per system.
     """
-    return _is_exceptional_reduced(
-        system.surface.selfints, tuple(a.reduced() for a in system.entries)
+    return _is_exceptional_ids(*_system_ids(system))
+
+
+# Class tables ----------------------------------------------------------------
+
+CLASS_TABLE_CAP = 200_000
+"""The most entries (classes, sums and memo entries, over all class tables)
+kept from one top-level call to the next; the cap of the ``h0`` cache."""
+
+
+class _ClassTable:
+    """The divisor classes met on one surface presentation, interned: each
+    reduced coefficient tuple gets the next small int id.  Reduced tuples
+    (first two coefficients 0) form a subgroup, so an id stands for a class
+    and the sum of two reduced tuples is reduced again.
+
+    Per id the table keeps the bit "the negative does not vanish totally",
+    filled on first use through ``_vanishes_cached`` under the key that
+    ``vanishes_totally`` gives the negative, so the ``h0`` fast path and its
+    oracle cross-check are untouched; a sum table maps (id, id) to the id of
+    the sum.  The id-keyed memos of :func:`_is_exceptional_ids` and of the
+    de-augmentation search (``torsys.classify._path``) live here too, with
+    their hits and misses, so :func:`_clear_class_tables` drops them
+    together with the ids they are keyed on."""
+
+    entries = 0  # over all tables, for CLASS_TABLE_CAP
+
+    def __init__(self, selfints: tuple[int, ...]):
+        self.surface = from_selfints(selfints)
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.classes: list[tuple[int, ...]] = []
+        self.bad: list[bool | None] = []
+        self.sums: list[dict[int, int]] = []
+        self.exceptional: dict[tuple[int, ...], bool] = {}
+        self.paths: dict[tuple[int, ...], tuple | None] = {}
+        self.exceptional_hits = self.exceptional_misses = 0
+        self.paths_hits = self.paths_misses = 0
+
+    def intern(self, reduced: tuple[int, ...]) -> int:
+        i = self.ids.get(reduced)
+        if i is None:
+            i = self.ids[reduced] = len(self.classes)
+            self.classes.append(reduced)
+            self.bad.append(None)
+            self.sums.append({})
+            _ClassTable.entries += 1
+        return i
+
+    def sum(self, a: int, b: int) -> int:
+        row = self.sums[a]
+        s = row.get(b)
+        if s is None:
+            s = row[b] = self.intern(tuple(map(add, self.classes[a], self.classes[b])))
+            _ClassTable.entries += 1
+        return s
+
+    def is_bad(self, i: int) -> bool:
+        bad = self.bad[i]
+        if bad is None:
+            bad = self.bad[i] = not _vanishes_cached(
+                self.surface.selfints, tuple(-c for c in self.classes[i])
+            )
+        return bad
+
+    def remember(self, memo: dict, key, value):
+        """Store ``value`` under ``key`` in one of the id-keyed memos and
+        return it."""
+        memo[key] = value
+        _ClassTable.entries += 1
+        return value
+
+    def remember_all(self, memo: dict, items) -> None:
+        """Store the (key, value) pairs ``items`` in one of the memos."""
+        before = len(memo)
+        memo.update(items)
+        _ClassTable.entries += len(memo) - before
+
+    @functools.cached_property
+    def contractible(self) -> tuple[tuple[int, int, "_ClassTable", dict], ...]:
+        """Per contractible ray, rays ascending: the ray, the id of D_ray,
+        the table below its blow-down and the pushdown memo of the search,
+        which maps 2 id + a to the id below of the class id plus a D_ray
+        (a = 1 for the two entries that absorb D_ray)."""
+        x = self.surface
+        return tuple(
+            (
+                ray,
+                self.intern(x.divisor(ray).reduced()),
+                _class_table(x.blow_down(ray).below.selfints),
+                {},
+            )
+            for ray in x.contractible_rays()
+        )
+
+
+_class_tables: dict[tuple[int, ...], _ClassTable] = {}
+
+
+def _class_table(selfints: tuple[int, ...]) -> _ClassTable:
+    """The class table of the presentation ``selfints``, made on first use."""
+    table = _class_tables.get(selfints)
+    if table is None:
+        table = _class_tables[selfints] = _ClassTable(selfints)
+    return table
+
+
+def _clear_class_tables() -> None:
+    """Drop every class table, and with them every id-keyed memo."""
+    _class_tables.clear()
+    _ClassTable.entries = 0
+
+
+class _MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int
+
+
+def _memo_info(memo: str) -> _MemoInfo:
+    """Hits, misses and entries of one id-keyed memo, ``"exceptional"``
+    (:func:`_is_exceptional_ids`) or ``"paths"`` (the search), summed over
+    the class tables since they were last dropped."""
+    tables = _class_tables.values()
+    return _MemoInfo(
+        sum(getattr(t, memo + "_hits") for t in tables),
+        sum(getattr(t, memo + "_misses") for t in tables),
+        sum(len(getattr(t, memo)) for t in tables),
     )
 
 
-@functools.lru_cache(maxsize=200_000)
-def _is_exceptional_reduced(selfints: tuple[int, ...], entries: tuple) -> bool:
-    """The body of :func:`is_exceptional` on the reduced coefficient tuples
-    of the entries, cached per process under the cap of the ``h0`` cache: a
-    census tests each orbit system again in ``is_constructible`` and in
-    ``certify_full``, and the answer is a function of the arguments."""
-    sums = [(0,) * len(selfints)]
-    for a in entries[:-1]:
-        sums.append(tuple(map(add, sums[-1], a)))
-    for i, start in enumerate(sums[:-1]):
-        for end in sums[i + 1 :]:
-            if not _vanishes_cached(selfints, tuple(map(sub, start, end))):
-                return False
-    return True
+def _system_ids(system: ToricSystem) -> tuple[_ClassTable, tuple[int, ...]]:
+    """The table of ``system``'s surface and the ids of its entries.  The one
+    top-level entry to the tables: when they hold more than
+    CLASS_TABLE_CAP entries it drops them all first, before it interns, so
+    one search may take the tables past the cap until the next call.  A
+    search never comes back here.  Ids are only ever read with the table
+    object that issued them, which a search reaches through its caller's
+    table (``_ClassTable.contractible``), so no id an outer frame holds can
+    point into a newer table."""
+    if _ClassTable.entries > CLASS_TABLE_CAP:
+        _clear_class_tables()
+    x = system.surface
+    table = _class_table(x.selfints)
+    return table, tuple(table.intern(a.reduced()) for a in system.entries)
+
+
+def _is_exceptional_ids(table: _ClassTable, ids: tuple[int, ...]) -> bool:
+    """The body of :func:`is_exceptional` on the class ids of the entries,
+    kept in the table's memo: a census tests each orbit system again in
+    ``is_constructible`` and in ``certify_full``, and the answer is a
+    function of the classes.  The segment A_i + ... + A_j is the sum-table
+    id of A_i + ... + A_{j-1} and A_j, and its negative is the class
+    S_{i-1} - S_j of the partial sums S_k = A_1 + ... + A_k.  Segments are
+    tested i ascending, then j ascending, up to the first one whose
+    negative does not vanish; a bit already in the table is not asked of
+    ``_vanishes_cached`` again."""
+    verdict = table.exceptional.get(ids)
+    if verdict is not None:
+        table.exceptional_hits += 1
+        return verdict
+    table.exceptional_misses += 1
+    # the hit paths of table.sum and table.is_bad are inlined: this loop is
+    # the hot part of a census's exceptionality tests
+    bad, sums = table.bad, table.sums
+    last = len(ids) - 1
+    for i in range(last):
+        segment = ids[i]
+        for j in range(i, last):
+            if j > i:
+                following = sums[segment].get(ids[j])
+                segment = table.sum(segment, ids[j]) if following is None else following
+            flag = bad[segment]
+            if flag is None:
+                flag = table.is_bad(segment)
+            if flag:
+                return table.remember(table.exceptional, ids, False)
+    return table.remember(table.exceptional, ids, True)
 
 
 # Hirzebruch surfaces ---------------------------------------------------------

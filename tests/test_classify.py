@@ -241,23 +241,21 @@ def _rank6_witnesses_digest():
 
 
 def test_rank6_certificates_do_not_depend_on_the_search_cache():
-    # the searches of two orbit reports fill the caches first, and the
-    # certificates are then made in reverse order: each witness is replayed
-    # on its own input's coefficients, so the digests stay put
+    # the searches of two orbit reports fill the class tables' memos first,
+    # and the certificates are then made in reverse order: each witness is
+    # replayed on its own input's coefficients, so the digests stay put
     import hashlib
     import json
 
-    from torsys.classify import _path
     from torsys.schema import certificate_to_json
-    from torsys.systems import _is_exceptional_reduced
+    from torsys.systems import _clear_class_tables, _memo_info
 
-    _path.cache_clear()
-    _is_exceptional_reduced.cache_clear()
+    _clear_class_tables()
     orbit_report(rank5.surface())
     nonconstructible = orbit_report(from_selfints(RANK6)).nonconstructible
     assert len(nonconstructible) == 536
-    assert _path.cache_info().currsize > 0
-    assert _is_exceptional_reduced.cache_info().currsize > 0
+    assert _memo_info("paths").currsize > 0
+    assert _memo_info("exceptional").currsize > 0
     certs = [
         certify_full(to_sequence(s), max_depth=3) for s in reversed(nonconstructible)
     ]
@@ -268,19 +266,16 @@ def test_rank6_certificates_do_not_depend_on_the_search_cache():
 
 def test_rank6_certificates_and_witnesses_from_cold_caches():
     # the same digests when the searches and the exceptionality tests start
-    # from empty caches
+    # from empty class tables
     import hashlib
     import json
 
-    from torsys.classify import _path
     from torsys.schema import certificate_to_json
-    from torsys.systems import _is_exceptional_reduced
+    from torsys.systems import _clear_class_tables
 
-    _path.cache_clear()
-    _is_exceptional_reduced.cache_clear()
+    _clear_class_tables()
     assert _rank6_witnesses_digest() == RANK6_WITNESSES_DIGEST
-    _path.cache_clear()
-    _is_exceptional_reduced.cache_clear()
+    _clear_class_tables()
     x = from_selfints(RANK6)
     certs = [
         certify_full(to_sequence(s), max_depth=3)
@@ -294,28 +289,63 @@ def test_rank6_certificates_and_witnesses_from_cold_caches():
 
 def test_census_tests_each_system_for_exceptionality_once():
     # is_constructible and certify_full test their inputs again, and every
-    # twisted image lies in the orbit: the exceptionality cache answers
+    # twisted image lies in the orbit: the exceptionality memo answers
     # those repeats, and certify_full tests no system the census has not
-    from torsys.classify import _path
-    from torsys.systems import _is_exceptional_reduced
+    from torsys.systems import _clear_class_tables, _memo_info
 
-    _path.cache_clear()
-    _is_exceptional_reduced.cache_clear()
+    _clear_class_tables()
     x = from_selfints(RANK6)
     systems = orbit(standard_system(x), weyl_group(x))
     exceptional = [s for s in systems if is_exceptional(s)]
-    info = _is_exceptional_reduced.cache_info()
+    info = _memo_info("exceptional")
     assert (info.hits, info.misses) == (0, 1920)
     nonconstructible = [s for s in exceptional if is_constructible(s) is None]
-    searched = _is_exceptional_reduced.cache_info()
+    searched = _memo_info("exceptional")
     # each of the 1416 inputs is a hit, and so is every de-augmented system
     # that an earlier search already met
     assert searched.hits >= 1416
     certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
     assert all(c.verdict == "full" for c in certs)
-    certified = _is_exceptional_reduced.cache_info()
+    certified = _memo_info("exceptional")
     assert certified.misses == searched.misses
     assert certified.hits - searched.hits >= 536
+
+
+def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
+    # the tables and their memos are dropped at top-level entries only,
+    # whenever they hold more than the cap; ids held by an outer frame of a
+    # search (certify_full's seen-set among them) never go stale, so a
+    # census that keeps dropping them gives the same answers
+    import hashlib
+    import json
+    from collections import Counter
+
+    import torsys.systems
+    from torsys.schema import certificate_to_json
+
+    clear = torsys.systems._clear_class_tables
+    clears = []
+
+    def counting():
+        clears.append(torsys.systems._ClassTable.entries)
+        clear()
+
+    clear()
+    monkeypatch.setattr(torsys.systems, "CLASS_TABLE_CAP", 50)
+    monkeypatch.setattr(torsys.systems, "_clear_class_tables", counting)
+    x = from_selfints(RANK6)
+    systems = orbit(standard_system(x), weyl_group(x))
+    exceptional = [s for s in systems if is_exceptional(s)]
+    nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
+    assert (len(systems), len(exceptional), len(nonconstructible)) == (1920, 1416, 536)
+    assert Counter(len(c.twists) for c in certs if c.verdict == "full") == {1: 480, 2: 48, 3: 8}
+    blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+    # without the cap the census leaves 11,051 entries; with it, the tables
+    # are dropped before most of the 5,288 top-level calls
+    assert len(clears) > 1000
+    assert all(entries > 50 for entries in clears)
 
 
 def test_orbit_report_rank5():
@@ -406,13 +436,14 @@ def _reference_search(system, memo):
 @pytest.mark.parametrize("selfints", [rank5.SELFINTS, RANK6], ids=["rank5", "rank6"])
 def test_search_kernel_equals_the_object_level_reference(selfints):
     # same verdict and the same witness, coefficient by coefficient, on every
-    # exceptional orbit system, as the kernel's cache fills from cold
-    from torsys.classify import _path, _search
+    # exceptional orbit system, as the class tables fill from cold
+    from torsys.classify import _search
     from torsys.isometry import weyl_orbit
     from torsys.schema import witness_to_json
+    from torsys.systems import _clear_class_tables
 
     x = from_selfints(selfints)
-    _path.cache_clear()
+    _clear_class_tables()
     failed = 0
     for s in weyl_orbit(x):
         if not is_exceptional(s):
@@ -429,24 +460,23 @@ def test_search_kernel_equals_the_object_level_reference(selfints):
 
 def test_search_kernel_checks_fire_and_leave_no_cache_entry(monkeypatch):
     import torsys.classify
-    from torsys.classify import _path
     from torsys.surface import InternalInconsistency
-    from torsys.systems import HirzebruchSystemClass
+    from torsys.systems import HirzebruchSystemClass, _clear_class_tables, _memo_info
 
-    real = torsys.classify._is_exceptional_reduced
+    real = torsys.classify._is_exceptional_ids
     rank6 = standard_system(from_selfints(RANK6))
-    _path.cache_clear()
+    _clear_class_tables()
     with monkeypatch.context() as m:
         # the 8-ray input passes; its first 7-ray de-augmentation does not
         m.setattr(
             torsys.classify,
-            "_is_exceptional_reduced",
-            lambda selfints, entries: len(selfints) != 7 and real(selfints, entries),
+            "_is_exceptional_ids",
+            lambda table, ids: table.surface.n != 7 and real(table, ids),
         )
         with pytest.raises(InternalInconsistency, match="non-exceptional"):
             is_constructible(rank6)
-    # the search raised before any search below it finished: nothing is cached
-    assert _path.cache_info().currsize == 0
+    # the search raised before any search below it finished: no answer is kept
+    assert _memo_info("paths") == (0, 1, 0)
     with monkeypatch.context() as m:
         m.setattr(
             torsys.classify,
@@ -463,6 +493,7 @@ def test_search_kernel_raises_internal_inconsistency_on_a_bad_pushdown():
     # bug, not an input error; the public pushdown keeps its ValueError
     from torsys.classify import _path
     from torsys.surface import InternalInconsistency
+    from torsys.systems import _class_table
 
     x = rank5.surface()
     e = x.contractible_rays()[0]
@@ -472,8 +503,9 @@ def test_search_kernel_raises_internal_inconsistency_on_a_bad_pushdown():
     entries[far] = x.reduce_coeffs(
         tuple(a + b for a, b in zip(x.divisor(far).coeffs, x.divisor(e).coeffs))
     )
+    table = _class_table(x.selfints)
     with pytest.raises(InternalInconsistency, match="orthogonal complement"):
-        _path(x.selfints, tuple(entries))
+        _path(table, tuple(map(table.intern, entries)))
 
 
 _LABEL_CHECK_SCRIPT = r"""
@@ -523,19 +555,19 @@ import torsys.classify
 from torsys import from_selfints
 from torsys.classify import _search
 from torsys.surface import InternalInconsistency
-from torsys.systems import ToricSystem, standard_system
+from torsys.systems import ToricSystem, _system_ids, standard_system
 
 if not sys.flags.optimize:
     sys.exit("run me under python -O")
 x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
 std = standard_system(x)
-moves, label = torsys.classify._path(x.selfints, tuple(a.reduced() for a in std.entries))
+moves, label = torsys.classify._path(*_system_ids(std))
 ray, position = moves[0]
 print("genuine", len(_search(std).steps))
 
 # the first move points at the entry after the ray's class
 shifted = (((ray, (position + 1) % x.n),) + moves[1:], label)
-torsys.classify._path = lambda selfints, entries: shifted
+torsys.classify._path = lambda table, ids: shifted
 try:
     _search(std)
     print("accepted")
@@ -547,7 +579,7 @@ entries = list(std.entries)
 far = (ray + 2) % x.n
 entries[far] = entries[far] + x.divisor(ray)
 bad = ToricSystem(x, tuple(entries))
-torsys.classify._path = lambda selfints, entries: (((ray, ray),), label)
+torsys.classify._path = lambda table, ids: (((ray, ray),), label)
 try:
     _search(bad)
     print("accepted")
@@ -668,10 +700,10 @@ def test_search_path_validates_only_its_input(monkeypatch):
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 def test_search_path_validates_only_its_input_from_either_cache(monkeypatch, cache):
-    # whether the searches run or come from the search cache
-    from torsys.classify import _path
+    # whether the searches run or come from the class tables' memo
+    from torsys.systems import _clear_class_tables
 
-    _path.cache_clear()
+    _clear_class_tables()
     if cache == "warm":
         for s in orbit_report(rank5.surface()).nonconstructible:
             certify_full(to_sequence(s), max_depth=1)

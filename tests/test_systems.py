@@ -317,6 +317,48 @@ def test_is_exceptional_matches_object_sum_reference():
     assert len(subs) == 300
 
 
+def _reference_is_exceptional(system):
+    """The tuple body is_exceptional ran before its class tables: partial
+    sums S_0 = 0, S_k = A_1 + ... + A_k (k < n) of the reduced entries, and
+    -(A_i + ... + A_j) = S_{i-1} - S_j looked up in the vanishing cache, i
+    ascending, then j ascending."""
+    from operator import add, sub
+
+    from torsys.cohomology import _vanishes_cached
+
+    selfints = system.surface.selfints
+    sums = [(0,) * len(selfints)]
+    for a in system.entries[:-1]:
+        sums.append(tuple(map(add, sums[-1], a.reduced())))
+    for i, start in enumerate(sums[:-1]):
+        for end in sums[i + 1 :]:
+            if not _vanishes_cached(selfints, tuple(map(sub, start, end))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "selfints", [rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)], ids=["rank5", "rank6"]
+)
+def test_exceptionality_table_kernel_equals_the_tuple_reference(selfints):
+    # every orbit system from cold class tables, then each system's rotation
+    # by one, whose id tuple and segment sums are new; both verdicts occur
+    from torsys.isometry import weyl_orbit
+    from torsys.systems import _clear_class_tables
+
+    x = from_selfints(selfints)
+    _clear_class_tables()
+    systems = weyl_orbit(x)
+    flags = [is_exceptional(s) for s in systems]
+    assert flags == [_reference_is_exceptional(s) for s in systems]
+    assert (flags.count(True), len(flags)) == {7: (98, 120), 8: (1416, 1920)}[x.n]
+    rotated = [s.rotate(1) for s in systems]
+    rotated_flags = [is_exceptional(s) for s in rotated]
+    assert rotated_flags == [_reference_is_exceptional(s) for s in rotated]
+    # a rotation is a shift along the helix, which keeps the verdict
+    assert rotated_flags == flags
+
+
 _UNCHECKED_IMAGES_SCRIPT = r"""
 import sys
 
