@@ -14,11 +14,12 @@ the kernel's answers.  Twists are root reflections, so the twisted images of
 an orbit system lie in the same Weyl orbit, and a census searches each
 system once; the exceptionality test runs on the same class ids and keeps
 its verdicts in the same tables, so a census also tests each system once.
-The kernel returns moves only; :func:`_search` rebuilds the witness from
-them on the caller's own coefficient tuples, so witnesses and certificates
-do not depend on the tables.  Every de-augmentation, in the kernel, in that
-rebuild and in the public ``deaugment``, runs through one body,
-``_deaugment_coeffs`` in systems.py.  The twist search of
+Each public call interns its input once (``_system_ids``) and runs both
+kernels on those ids.  The kernel returns moves only; :func:`_witness`
+rebuilds the witness from them on the caller's own coefficient tuples, so
+witnesses and certificates do not depend on the tables.  Every
+de-augmentation, in the kernel, in that rebuild and in the public
+``deaugment``, runs through one body, ``_deaugment_coeffs`` in systems.py.  The twist search of
 :func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
 classes and systems are built only for what a caller receives.
 """
@@ -46,7 +47,6 @@ from .systems import (
     _system_ids,
     classify_hirzebruch,
     from_sequence,
-    is_exceptional,
     to_sequence,
 )
 from .twist import minus_two_rays
@@ -133,9 +133,13 @@ def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
     ascending, first witness wins); the recursion bottoms out on Hirzebruch
     surfaces, where the label classification decides.
     """
-    if not is_exceptional(system):
+    table, ids = _system_ids(system)
+    if not _is_exceptional_ids(table, ids):
         raise NotExceptionalInput("constructibility is defined for exceptional systems")
-    return _search(system)
+    found = _path(table, ids)
+    if found is None:
+        return None
+    return _witness(system.surface, tuple(a.coeffs for a in system.entries), found)
 
 
 _UNSEARCHED = object()
@@ -212,15 +216,6 @@ def _path(table: _ClassTable, ids: tuple[int, ...]) -> tuple | None:
                     table.paths, ids, (((ray, position),) + moves, label)
                 )
     return table.remember(table.paths, ids, None)
-
-
-def _search(system: ToricSystem) -> ConstructibilityWitness | None:
-    """The witness of :func:`_path` for ``system``, rebuilt by
-    :func:`_witness` on the caller's own coefficients."""
-    found = _path(*_system_ids(system))
-    if found is None:
-        return None
-    return _witness(system.surface, tuple(a.coeffs for a in system.entries), found)
 
 
 def _witness(x: ToricSurface, coeffs: tuple, found: tuple) -> ConstructibilityWitness:
@@ -382,8 +377,13 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
             f"orbit reports support Picard rank 3..6, got {x.pic_rank}"
         )
     systems = weyl_orbit(x)
-    exceptional = [s for s in systems if is_exceptional(s)]
-    nonconstructible = [s for s in exceptional if _path(*_system_ids(s)) is None]
+    exceptional, nonconstructible = 0, []
+    for s in systems:
+        table, ids = _system_ids(s)
+        if _is_exceptional_ids(table, ids):
+            exceptional += 1
+            if _path(table, ids) is None:
+                nonconstructible.append(s)
     index = {s.key(): j for j, s in enumerate(nonconstructible)}
     pairing = []
     autos = [f for f in x.fan_automorphisms() if not f.is_identity()]
@@ -398,8 +398,8 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
     return OrbitReport(
         surface=x,
         total=len(systems),
-        exceptional_count=len(exceptional),
-        constructible_count=len(exceptional) - len(nonconstructible),
+        exceptional_count=exceptional,
+        constructible_count=exceptional - len(nonconstructible),
         nonconstructible=tuple(nonconstructible),
         automorphism_pairing=tuple(pairing),
     )

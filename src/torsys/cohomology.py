@@ -15,15 +15,15 @@ the weight-m contribution (empty -> h^0, everything -> h^2, d arcs -> d - 1 to
 h^1).  Along one column of the box each ray fails on a half-line, so the
 failing set is constant on at most n + 1 runs, and each run is weighed once
 and counted by its length.  The two paths share no code and cross-validate
-each other.
+each other.  Neither keeps a memo: the class tables of systems.py keep, per
+class, the answers that a census asks for again.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .surface import DivisorClass, InternalInconsistency, from_selfints
+from .surface import DivisorClass, InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,10 @@ def h0(d: DivisorClass) -> int:
     H0TooLarge.  The count costs O(n log |c|) whatever the width, so the cap
     no longer bounds a scan; it stays as an explicit cap on a size the user
     controls."""
-    return _h0_cached(d.surface.selfints, d.reduced())
+    return _h0(d.surface.rays, d.reduced())
 
 
-@functools.lru_cache(maxsize=200_000)
-def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+def _h0(rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]) -> int:
     """Count the lattice points of the section polygon P by floor sums.
 
     :func:`_section_polygon` gives P's edges and corners exactly, or None
@@ -96,7 +95,6 @@ def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
     chain.  Vertical edges bound the x-range only.  Each edge is one
     :func:`_floor_sum`.
     """
-    rays = from_selfints(selfints).rays
     polygon = _section_polygon(rays, coeffs)
     if polygon is None:
         return 0
@@ -105,7 +103,7 @@ def _h0_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
         if any(vx * X + vy * Y + c * W < 0 for (vx, vy), c in zip(rays, coeffs)):
             raise InternalInconsistency(
                 f"corner ({X}, {Y}) / {W} of the section polygon of {coeffs}"
-                f" on {selfints} is infeasible"
+                f" on the rays {rays} is infeasible"
             )
     x_min = min(X // W for X, _, W in corners)
     x_max = max(-(-X // W) for X, _, W in corners)
@@ -254,12 +252,7 @@ def cohomology_dims(d: DivisorClass) -> CohomologyDims:
 
 def vanishes_totally(d: DivisorClass) -> bool:
     """True when all cohomology of O(D) vanishes."""
-    return _vanishes_cached(d.surface.selfints, d.reduced())
-
-
-@functools.lru_cache(maxsize=200_000)
-def _vanishes_cached(selfints: tuple[int, ...], coeffs: tuple[int, ...]) -> bool:
-    return cohomology_dims(from_selfints(selfints).divisor_class(coeffs)).is_zero()
+    return cohomology_dims(d).is_zero()
 
 
 ORACLE_MAX_CHARACTERS = 4_000_000
@@ -270,7 +263,7 @@ class OracleBoxTooLarge(ValueError):
     characters."""
 
 
-def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> CohomologyDims:
+def oracle_cohomology_dims(d: DivisorClass) -> CohomologyDims:
     """Independent brute-force computation by summing over characters.
 
     For each character m, the rays with <m, v_i> < -c_i span a subcomplex of
@@ -278,10 +271,9 @@ def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> Cohomol
     subcomplex is empty, 1 to h^2 if it is the whole circle, and
     (number of arcs - 1) to h^1 otherwise.
 
-    With an explicit ``bound`` the sum runs over the square [-B, B]^2.  By
-    default it runs over the bounding box of the pairwise intersection points
-    of the lines <m, v_i> = -c_i, widened by 2, which contains every
-    contributing m:
+    The sum (:func:`_oracle_sum`) runs over the bounding box of the pairwise
+    intersection points of the lines <m, v_i> = -c_i, widened by 2
+    (:func:`_oracle_box`), which contains every contributing m:
 
     The characters with one failing set F are the region R_F of the line
     arrangement cut out by <m, v_i> < -c_i for i in F and >= -c_i for i not
@@ -299,7 +291,20 @@ def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> Cohomol
     the line equations, so R_F lies in the convex hull of the pairwise
     intersection points.
 
-    The box is summed column by column, by runs.  Fix mx and let
+    The oracle keeps its own intersection loop and shares no code with the
+    fast path.
+    """
+    rays, coeffs = d.surface.rays, d.reduced()
+    return _oracle_sum(rays, coeffs, _oracle_box(rays, coeffs))
+
+
+def _oracle_sum(
+    rays: tuple[tuple[int, int], ...],
+    coeffs: tuple[int, ...],
+    box: tuple[int, int, int, int],
+) -> CohomologyDims:
+    """The oracle's sum over the characters of ``box`` = (x_lo, x_hi, y_lo,
+    y_hi), column by column, by runs.  Fix mx and let
     rhs_i = -(vx_i mx + c_i); ray i fails exactly when vy_i my < rhs_i, a
     half-line in my.  For vy_i > 0 it fails for my < ceil(rhs_i / vy_i), for
     vy_i < 0 for my >= floor(rhs_i / vy_i) + 1, and for vy_i = 0 on the whole
@@ -308,17 +313,10 @@ def oracle_cohomology_dims(d: DivisorClass, bound: int | None = None) -> Cohomol
     the column, and a run adds its length times the weight of its failing
     set.  A column costs O(n log n) instead of O(height * n).
 
-    The oracle keeps its own intersection loop and shares no code with the
-    fast path.  A box of more than ORACLE_MAX_CHARACTERS characters raises
+    A box of more than ORACLE_MAX_CHARACTERS characters raises
     OracleBoxTooLarge before any scan.
     """
-    x = d.surface
-    rays = x.rays
-    coeffs = d.reduced()
-    if bound is None:
-        x_lo, x_hi, y_lo, y_hi = _oracle_box(rays, coeffs)
-    else:
-        x_lo, x_hi, y_lo, y_hi = -bound, bound, -bound, bound
+    x_lo, x_hi, y_lo, y_hi = box
     size = max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
     if size > ORACLE_MAX_CHARACTERS:
         raise OracleBoxTooLarge(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .cohomology import _vanishes_cached
+from .cohomology import vanishes_totally
 from .surface import (
     BlowupRelation,
     DivisorClass,
@@ -328,7 +328,7 @@ def is_exceptional(system: ToricSystem) -> bool:
 
 CLASS_TABLE_CAP = 200_000
 """The most entries (classes, sums and memo entries, over all class tables)
-kept from one top-level call to the next; the cap of the ``h0`` cache."""
+kept from one top-level call to the next; the library's only memo cap."""
 
 
 class _ClassTable:
@@ -338,13 +338,13 @@ class _ClassTable:
     and the sum of two reduced tuples is reduced again.
 
     Per id the table keeps the bit "the negative does not vanish totally",
-    filled on first use through ``_vanishes_cached`` under the key that
-    ``vanishes_totally`` gives the negative, so the ``h0`` fast path and its
-    oracle cross-check are untouched; a sum table maps (id, id) to the id of
-    the sum.  The id-keyed memos of :func:`_is_exceptional_ids` and of the
-    de-augmentation search (``torsys.classify._path``) live here too, with
-    their hits and misses, so :func:`_clear_class_tables` drops them
-    together with the ids they are keyed on."""
+    filled on first use by ``vanishes_totally``; it is the only memo of a
+    cohomology answer, as the cohomology module keeps none.  A sum table
+    maps (id, id) to the id of the sum.  The id-keyed memos of
+    :func:`_is_exceptional_ids` and of the de-augmentation search
+    (``torsys.classify._path``) live here too, with their hits and misses,
+    so :func:`_clear_class_tables` drops them together with the ids they
+    are keyed on."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -380,9 +380,8 @@ class _ClassTable:
     def is_bad(self, i: int) -> bool:
         bad = self.bad[i]
         if bad is None:
-            bad = self.bad[i] = not _vanishes_cached(
-                self.surface.selfints, tuple(-c for c in self.classes[i])
-            )
+            negated = tuple(-c for c in self.classes[i])
+            bad = self.bad[i] = not vanishes_totally(DivisorClass(self.surface, negated))
         return bad
 
     def remember(self, memo: dict, key, value):
@@ -476,7 +475,7 @@ def _is_exceptional_ids(table: _ClassTable, ids: tuple[int, ...]) -> bool:
     S_{i-1} - S_j of the partial sums S_k = A_1 + ... + A_k.  Segments are
     tested i ascending, then j ascending, up to the first one whose
     negative does not vanish; a bit already in the table is not asked of
-    ``_vanishes_cached`` again."""
+    ``vanishes_totally`` again."""
     verdict = table.exceptional.get(ids)
     if verdict is not None:
         table.exceptional_hits += 1

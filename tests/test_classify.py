@@ -311,6 +311,63 @@ def test_census_tests_each_system_for_exceptionality_once():
     assert certified.hits - searched.hits >= 536
 
 
+def _count_calls(monkeypatch, modules, name):
+    """Wrap the function ``name`` in each of ``modules`` (the same function,
+    imported into each) with one shared call counter."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_public_call_interns_its_input_once(monkeypatch):
+    # is_exceptional, is_constructible and certify_full intern their input
+    # once each, and orbit_report interns each orbit system once for both
+    # kernels; a search reaches the tables below through its caller's table
+    import torsys.classify
+    import torsys.systems
+
+    interned = _count_calls(monkeypatch, [torsys.systems, torsys.classify], "_system_ids")
+    x = from_selfints(RANK6)
+    systems = orbit(standard_system(x), weyl_group(x))
+    exceptional = [s for s in systems if is_exceptional(s)]
+    nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    for s in nonconstructible:
+        certify_full(to_sequence(s), max_depth=3)
+    assert len(interned) == 1920 + 1416 + 536 == 3872
+    interned.clear()
+    rep = orbit_report(rank5.surface())
+    assert (rep.total, rep.exceptional_count, rep.constructible_count) == (120, 98, 96)
+    assert len(interned) == 120
+
+
+def test_census_asks_each_class_once(monkeypatch):
+    # the class tables are the one memo of cohomology answers: every
+    # cohomology_dims call of a census from cold tables sets one vanishing
+    # bit, and no class is asked twice
+    import torsys.cohomology
+    from torsys.systems import _class_tables, _clear_class_tables
+
+    asked = _count_calls(monkeypatch, [torsys.cohomology], "cohomology_dims")
+    _clear_class_tables()
+    x = from_selfints(RANK6)
+    systems = orbit(standard_system(x), weyl_group(x))
+    exceptional = [s for s in systems if is_exceptional(s)]
+    nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
+    assert all(c.verdict == "full" for c in certs)
+    bits = sum(b is not None for t in _class_tables.values() for b in t.bad)
+    assert len(asked) == bits == 757
+    keys = {(d.surface.selfints, d.reduced()) for (d,) in asked}
+    assert len(keys) == len(asked)
+
+
 def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     # the tables and their memos are dropped at top-level entries only,
     # whenever they hold more than the cap; ids held by an outer frame of a
@@ -343,7 +400,7 @@ def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
     # without the cap the census leaves 11,051 entries; with it, the tables
-    # are dropped before most of the 5,288 top-level calls
+    # are dropped before most of the 3,872 top-level calls
     assert len(clears) > 1000
     assert all(entries > 50 for entries in clears)
 
@@ -366,13 +423,11 @@ def test_orbit_report_rank5():
 
 def test_rank5_orbit_every_witness_replays():
     x = rank5.surface()
-    from torsys.classify import _search
-
     replayed = 0
     for s in orbit(standard_system(x), weyl_group(x)):
         if not is_exceptional(s):
             continue
-        w = _search(s)
+        w = is_constructible(s)
         if w is None:
             continue
         assert w.replay() == s
@@ -437,7 +492,6 @@ def _reference_search(system, memo):
 def test_search_kernel_equals_the_object_level_reference(selfints):
     # same verdict and the same witness, coefficient by coefficient, on every
     # exceptional orbit system, as the class tables fill from cold
-    from torsys.classify import _search
     from torsys.isometry import weyl_orbit
     from torsys.schema import witness_to_json
     from torsys.systems import _clear_class_tables
@@ -449,7 +503,7 @@ def test_search_kernel_equals_the_object_level_reference(selfints):
         if not is_exceptional(s):
             continue
         want = _reference_search(s, _ReferenceMemo())
-        got = _search(s)
+        got = is_constructible(s)
         assert (got is None) == (want is None)
         if want is None:
             failed += 1
@@ -551,37 +605,35 @@ def test_search_kernel_label_check_fires_under_optimize():
 _REBUILD_CHECKS_SCRIPT = r"""
 import sys
 
-import torsys.classify
 from torsys import from_selfints
-from torsys.classify import _search
+from torsys.classify import _path, _witness, is_constructible
 from torsys.surface import InternalInconsistency
-from torsys.systems import ToricSystem, _system_ids, standard_system
+from torsys.systems import _system_ids, standard_system
 
 if not sys.flags.optimize:
     sys.exit("run me under python -O")
 x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
 std = standard_system(x)
-moves, label = torsys.classify._path(*_system_ids(std))
+coeffs = tuple(a.coeffs for a in std.entries)
+moves, label = _path(*_system_ids(std))
 ray, position = moves[0]
-print("genuine", len(_search(std).steps))
+print("genuine", len(is_constructible(std).steps))
 
 # the first move points at the entry after the ray's class
 shifted = (((ray, (position + 1) % x.n),) + moves[1:], label)
-torsys.classify._path = lambda table, ids: shifted
 try:
-    _search(std)
+    _witness(x, coeffs, shifted)
     print("accepted")
 except InternalInconsistency as exc:
     print("position check fired:", "does not reverse an augmentation" in str(exc))
 
-# D_{ray+2} + D_ray meets D_ray in -1; the system is built unchecked
-entries = list(std.entries)
+# D_{ray+2} + D_ray meets D_ray in -1; such entries are no toric system, so
+# only moves from a broken search could bring the rebuild to them
 far = (ray + 2) % x.n
-entries[far] = entries[far] + x.divisor(ray)
-bad = ToricSystem(x, tuple(entries))
-torsys.classify._path = lambda table, ids: (((ray, ray),), label)
+bad = list(coeffs)
+bad[far] = tuple(a + b for a, b in zip(coeffs[far], x.divisor(ray).coeffs))
 try:
-    _search(bad)
+    _witness(x, tuple(bad), (((ray, ray),), label))
     print("accepted")
 except InternalInconsistency as exc:
     print("orthogonality check fired:", "orthogonal complement" in str(exc))
@@ -589,7 +641,7 @@ except InternalInconsistency as exc:
 
 
 def test_witness_rebuild_checks_fire_under_optimize():
-    # _search rebuilds a witness from the kernel's moves on coefficient
+    # _witness rebuilds a witness from the kernel's moves on coefficient
     # tuples; a move whose position does not hold the ray's class, and an
     # entry that meets the exceptional class, are bugs and raise under -O
     import os

@@ -92,15 +92,14 @@ def test_cohomology_oracle_and_fast_path_share_no_code():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef)
     }
-    oracle = {"oracle_cohomology_dims", "_oracle_box"}
+    oracle = {"oracle_cohomology_dims", "_oracle_box", "_oracle_sum"}
     fast = {
         "h0",
-        "_h0_cached",
+        "_h0",
         "_section_polygon",
         "_floor_sum",
         "cohomology_dims",
         "vanishes_totally",
-        "_vanishes_cached",
     }
 
     def names(function):
@@ -113,6 +112,30 @@ def test_cohomology_oracle_and_fast_path_share_no_code():
     assert oracle | fast <= set(functions)
     assert {f: names(f) & fast for f in oracle} == {f: set() for f in oracle}
     assert {f: names(f) & oracle for f in fast} == {f: set() for f in fast}
+
+
+def test_cohomology_keeps_no_cache():
+    # the class tables of systems.py are the one memo of cohomology answers:
+    # cohomology.py imports no functools and decorates no function
+    path = pathlib.Path(torsys.__file__).parent / "cohomology.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+    assert "functools" not in imported
+    decorated = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and any("cache" in ast.unparse(d) for d in node.decorator_list)
+    ]
+    assert decorated == []
 
 
 def test_cli_holds_no_json_schema_and_no_replay():
@@ -155,7 +178,8 @@ def test_one_deaugmentation_body():
     # _deaugment_coeffs in systems.py is the only de-augmentation: classify.py
     # defines none of its own, only _deaugment_coeffs names the blow-down and
     # pushdown primitives, and the public deaugment, the search kernel _path
-    # and the witness rebuild _search all reach it through their calls
+    # and is_constructible, through its witness rebuild, all reach it
+    # through their calls
     base = pathlib.Path(torsys.__file__).parent
     functions = {}
     for module in ("systems.py", "classify.py"):
@@ -191,8 +215,10 @@ def test_one_deaugmentation_body():
 
     primitives = {"blow_down", "pushdown", "_drop_exceptional", "_unit_relation"}
     assert sorted(f for f in functions if names(f) & primitives) == ["_deaugment_coeffs"]
-    assert {f: reaches(f, "_deaugment_coeffs") for f in ("_path", "_search", "deaugment")} == {
+    assert {
+        f: reaches(f, "_deaugment_coeffs") for f in ("_path", "is_constructible", "deaugment")
+    } == {
         "_path": True,
-        "_search": True,
+        "is_constructible": True,
         "deaugment": True,
     }

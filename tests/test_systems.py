@@ -320,19 +320,19 @@ def test_is_exceptional_matches_object_sum_reference():
 def _reference_is_exceptional(system):
     """The tuple body is_exceptional ran before its class tables: partial
     sums S_0 = 0, S_k = A_1 + ... + A_k (k < n) of the reduced entries, and
-    -(A_i + ... + A_j) = S_{i-1} - S_j looked up in the vanishing cache, i
+    -(A_i + ... + A_j) = S_{i-1} - S_j tested by vanishes_totally, i
     ascending, then j ascending."""
     from operator import add, sub
 
-    from torsys.cohomology import _vanishes_cached
+    from torsys.cohomology import vanishes_totally
 
-    selfints = system.surface.selfints
-    sums = [(0,) * len(selfints)]
+    x = system.surface
+    sums = [(0,) * x.n]
     for a in system.entries[:-1]:
         sums.append(tuple(map(add, sums[-1], a.reduced())))
     for i, start in enumerate(sums[:-1]):
         for end in sums[i + 1 :]:
-            if not _vanishes_cached(selfints, tuple(map(sub, start, end))):
+            if not vanishes_totally(x.divisor_class(tuple(map(sub, start, end)))):
                 return False
     return True
 
