@@ -266,7 +266,8 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     The search runs on the coefficient tuples of toric systems:
     :func:`from_sequence` converts and validates the input once,
     :func:`_twist` twists tuples, images are told apart by the class ids of
-    their entries, on which both kernels run, and only the certified image
+    their entries, on which both kernels run (an entry twisted to A + d C
+    gets the sum-table id of A and d C), and only the certified image
     becomes a ``ToricSystem`` again, converted back by :func:`to_sequence`.  The bundle-level twist,
     ``torsys.twist.twist_sequence``, is what certificates replay against.
     """
@@ -288,19 +289,25 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         notes += (
             "constructibility is defined relative to Hirzebruch bases; the 3-ray surface has none",
         )
-    frontier: list[tuple[tuple, tuple[TwistApplication, ...]]] = [(coeffs, ())]
+    # (coefficients, class ids, twists) per system of the frontier
+    frontier: list[tuple[tuple, tuple, tuple[TwistApplication, ...]]] = [(coeffs, ids, ())]
     seen = {ids}
+    multiples: dict[tuple[int, int], int] = {}  # (ray, d) -> id of d D_ray
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         new_frontier = []
-        for current, trail in frontier:
+        for current, current_ids, trail in frontier:
             for ray in rays:
                 twisted = _twist(x, ray, current)
                 if twisted is None:
                     continue
                 image, cases = twisted
-                ids = tuple(table.intern(x.reduce_coeffs(c)) for c in image)
+                ids = []
+                for i, a, b in zip(current_ids, current, image):
+                    d = b[ray] - a[ray]  # the entry moved by d copies of C = D_ray
+                    ids.append(table.sum(i, _multiple(table, multiples, ray, d)) if d else i)
+                ids = tuple(ids)
                 if ids in seen:
                     continue
                 seen.add(ids)
@@ -315,13 +322,24 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                     return FullnessCertificate(
                         "full", applied, _witness(x, image, found), to_sequence(final)
                     )
-                new_frontier.append((image, applied))
+                new_frontier.append((image, ids, applied))
         frontier = new_frontier
     if frontier:
         notes += ("depth cap reached",)
     else:
         notes += (f"twist closure exhausted at depth {depth - 1}",)
     return FullnessCertificate("unknown", (), None, None, notes)
+
+
+def _multiple(table: _ClassTable, multiples: dict, ray: int, d: int) -> int:
+    """The id of d D_ray in ``table``, kept in ``multiples``; a multiple of
+    a reduced tuple is reduced."""
+    key = (ray, d)
+    i = multiples.get(key)
+    if i is None:
+        unit = table.surface.divisor(ray).reduced()
+        i = multiples[key] = table.intern(tuple(d * c for c in unit))
+    return i
 
 
 def _twist(

@@ -9,9 +9,11 @@ constraint 3 d_0 = -sum d_i and the quadric gives sum d_i^2 = d_0^2 + 2.
 One reflection BFS moves the Pic basis for :func:`weyl_group` (validated
 matrices) and the standard system's entries for :func:`weyl_orbit` (no matrix).
 It keys each element by its pairings with the roots, packed into one int,
-so a product with a reflection is one shift, mask, multiply and add.
-:class:`Isometry` checks each matrix against cached products G c of the
-surface's own Gram matrix, and :func:`orbit` builds images from columns.
+so a product with a reflection is one shift, mask, multiply and add, and it
+reflects each distinct vector once per reflection, through id tables.
+:class:`Isometry` reads M^T G M from the pairing table of the surface's
+class table (``_ClassTable`` in systems.py), and :func:`orbit` builds
+images from the columns it keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 
 from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
-from .systems import ToricSystem, standard_system
+from .systems import ToricSystem, _capped_table, standard_system
 
 # |W(E7)| is about 2.9 million, so Picard rank 8 is refused
 WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
@@ -58,7 +60,10 @@ class Isometry:
     and the Gram matrix G of Pic is unimodular (det G = +-1, by Poincare
     duality), so det M = +-1.  Entry (i, j) of M^T G M is c_i.(G c_j) for
     the columns c of M, and both sides are symmetric, so only i <= j is
-    checked.  G c comes from the surface's own cache of its Gram matrix.
+    checked, every entry for every matrix.  A column c is the reduced class
+    (0, 0) + c, and c_i.(G c_j) is read from the pairing table of the
+    surface's class table, which computes each pair of classes once.  The
+    columns are kept (``_ClassTable.column``) for :func:`orbit`.
     """
 
     surface: ToricSurface
@@ -70,12 +75,20 @@ class Isometry:
         m = self.matrix
         if len(m) != len(g) or any(len(row) != len(g) for row in m):
             raise ValueError(f"matrix is not {len(g)} x {len(g)}")
-        cols = tuple(zip(*m))
-        for j, gc in enumerate(map(x._gram_image, cols)):
-            row = g[j]
-            for i in range(j + 1):
-                if sum(map(mul, cols[i], gc)) != row[i]:
-                    raise ValueError("matrix does not preserve the intersection pairing")
+        table = _capped_table(x)
+        ids, cols = zip(*map(table.column, zip(*m)))
+        object.__setattr__(self, "_columns", cols)
+        pairs = table.pairs
+        filled = table.pairs_misses
+        for j, b in enumerate(ids):
+            # row j of G against c_i.(G c_j), i <= j: stored pairings first,
+            # and on a miss or a mismatch the table's own, computed on demand
+            want, before = g[j][: j + 1], ids[: j + 1]
+            if tuple(map(pairs[b].get, before)) != want and tuple(
+                table.pair(a, b) for a in before
+            ) != want:
+                raise ValueError("matrix does not preserve the intersection pairing")
+        table.pairs_hits += len(ids) * (len(ids) + 1) // 2 - (table.pairs_misses - filled)
         k = x.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
@@ -205,8 +218,14 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     The reflection at a root r_b is u -> u + (r_b.u) r_b, so
     s_b w has f'_a = f_a + f_b (r_a.r_b): the new key is
     F + f_b P_b, where P_b packs (r_a.r_b)_a, and f_b is one shift, mask
-    and subtraction.  Only a new element gets the images of ``start``,
-    each image stored once.  Products are met in the same order as under
+    and subtraction.  Only a new element gets the images of ``start``.
+
+    The BFS carries those images as tuples of ids of the distinct vectors
+    met, and each distinct reflection keeps a permutation table, vector id
+    -> id of its image, filled on first use and local to the call.  The
+    tables change no key and no order: which products are new, and in what
+    order, depends on the keys alone, and a table entry is the image the
+    reflection formula gives.  Products are met in the same order as under
     deduplication on whole matrices, so the element order is that of the
     plain matrix closure.
     """
@@ -226,34 +245,48 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     v = _regular_vector(rgs)
     bound, width = _pairing_slots(x, v)
     mask = (1 << width) - 1
-    # (shift of slot b, P_b, r_b, G r_b) per distinct reflection
+    # (shift of slot b, P_b, permutation table, r_b, G r_b) per distinct
+    # reflection; a table maps a vector id to the id of its image
     steps = [
-        (b * width, _pack([sum(map(mul, ra, rb)) for ra in rgs], 0, width), rb, gb)
+        (b * width, _pack([sum(map(mul, ra, rb)) for ra in rgs], 0, width), {}, rb, gb)
         for b, (rb, gb) in enumerate(zip(rcs, rgs))
     ]
     key = _pack([sum(map(mul, rg, v)) for rg in rgs], bound, width)
     seen = {key}
-    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    vectors: list[tuple[int, ...]] = []  # id -> vector
+    ids: dict[tuple[int, ...], int] = {}
 
-    def reflect(u, rc, rg):
+    def intern(u):
+        i = ids.get(u)
+        if i is None:
+            i = ids[u] = len(vectors)
+            vectors.append(u)
+        return i
+
+    def reflect(perm, rc, rg, i):
+        # fill the entry of vector i in the permutation table of one reflection
+        u = vectors[i]
         pair = sum(map(mul, rg, u))
-        u = tuple(a + pair * b for a, b in zip(u, rc))
-        return vectors.setdefault(u, u)
+        j = perm[i] = intern(tuple(a + pair * b for a, b in zip(u, rc)))
+        return j
 
-    frontier = [(key, start)]
+    vector = vectors.__getitem__
+    frontier = [(key, tuple(map(intern, start)))]
     yield key, start
     while frontier:
         new = []
         for key, images in frontier:
-            for shift, pack, rc, rg in steps:
+            for shift, pack, perm, rc, rg in steps:
                 product = key + (((key >> shift) & mask) - bound) * pack
                 if product in seen:
                     continue
                 seen.add(product)
                 if len(seen) > WEYL_MAX_ELEMENTS:
                     raise SizeCapExceeded(f"group exceeded {WEYL_MAX_ELEMENTS} elements")
-                moved = tuple(reflect(u, rc, rg) for u in images)
-                yield product, moved
+                moved = tuple(
+                    [perm[i] if i in perm else reflect(perm, rc, rg, i) for i in images]
+                )
+                yield product, tuple(map(vector, moved))
                 new.append((product, moved))
         frontier = new
 
@@ -359,25 +392,24 @@ def orbit(system: ToricSystem, isometries) -> list[ToricSystem]:
     in the order the isometries are supplied.  Images are built unchecked,
     with one class per distinct image: the :class:`Isometry` constructor
     proved that each map preserves the pairing and fixes K.  w(u) is the
-    sum of u_j times column j of w's matrix over the non-zero u_j; most
-    start coordinates are unit vectors, whose image is one column."""
+    column j the constructor kept when u is the unit vector e_j, as most
+    start coordinates are, and the rows of w's matrix times u otherwise."""
     x = system.surface
-    # (j, u_j) over the non-zero coordinates of each entry
-    start = [tuple((j, c) for j, c in enumerate(a.coords()) if c) for a in system.entries]
-    zero = (0,) * x.pic_rank
+    # each entry's coordinates: the index j of e_j, or the vector itself
+    units = {u: j for j, u in enumerate(_intlinalg.identity(x.pic_rank))}
+    start = [units.get(u, u) for u in (a.coords() for a in system.entries)]
     classes = functools.cache(x.class_from_coords)
     seen = set()
     out: list[ToricSystem] = []
-
-    def image(cols, terms):
-        if len(terms) == 1 and terms[0][1] == 1:
-            return cols[terms[0][0]]
-        return tuple(map(sum, zip(zero, *([c * a for a in cols[j]] for j, c in terms))))
-
     for w in isometries:
         x._require_same(w.surface)
-        cols = tuple(zip(*w.matrix))
-        coords = tuple(image(cols, terms) for terms in start)
+        cols, rows = w._columns, w.matrix
+        coords = tuple(
+            [
+                cols[u] if type(u) is int else tuple([sum(map(mul, r, u)) for r in rows])
+                for u in start
+            ]
+        )
         if coords not in seen:
             seen.add(coords)
             out.append(ToricSystem(x, tuple(map(classes, coords))))

@@ -152,7 +152,6 @@ class ToricSurface:
         self.selfints = selfints
         self.rays = rays
         self._blow_downs: dict[int, BlowupRelation] = {}
-        self._gram_images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # basic numerology -----------------------------------------------------
 
@@ -168,8 +167,10 @@ class ToricSurface:
     def pic_rank(self) -> int:
         return len(self.selfints) - 2
 
-    @property
+    @functools.cached_property
     def normalized(self) -> tuple[int, ...]:
+        """The rotation/reflection-minimal sequence, computed once: equality
+        and hashing read it on every call."""
         return normalize(self.selfints)
 
     def __repr__(self) -> str:
@@ -237,16 +238,6 @@ class ToricSurface:
     def _gram(self) -> tuple[tuple[int, ...], ...]:
         basis = [self.divisor(i) for i in range(2, self.n)]
         return tuple(tuple(a.dot(b) for b in basis) for a in basis)
-
-    def _gram_image(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """G c for a coordinate vector c, from :meth:`gram_matrix`, cached by c:
-        the columns of the Weyl group's matrices repeat few vectors."""
-        image = self._gram_images.get(coords)
-        if image is None:
-            image = self._gram_images[coords] = tuple(
-                sum(map(mul, row, coords)) for row in self._gram
-            )
-        return image
 
     def canonical_coords(self) -> tuple[int, ...]:
         return self._canonical_coords

@@ -160,20 +160,28 @@ def standard_system(x: ToricSurface) -> ToricSystem:
 
 def _check_axioms(x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]) -> None:
     """The toric-system axioms on the entries' coefficient tuples: n entries,
-    A_i . A_j = 1 for cyclic neighbours and 0 otherwise (by the intersection
-    formula of :func:`_divisor_pairings`), and sum A_i = -K = (1, ..., 1)
-    modulo relations.  The one validation body, for
-    :meth:`ToricSystem.validate` and :func:`from_sequence`."""
+    A_i . A_j = 1 for cyclic neighbours and 0 otherwise, and
+    sum A_i = -K = (1, ..., 1) modulo relations.  The one validation body,
+    for :meth:`ToricSystem.validate` and :func:`from_sequence`.  Each
+    A_i . A_j is read, on class ids, from the pairing table of the
+    surface's class table: the pairing is a function of the classes."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
-    pairings = [tuple(_divisor_pairings(x.selfints, e)) for e in coeffs]
+    table = _capped_table(x)
+    ids = [table.intern(x.reduce_coeffs(c)) for c in coeffs]
+    pairs = table.pairs
+    filled = table.pairs_misses
     for i in range(n):
+        row = pairs[ids[i]]
         for j in range(i + 1, n):
-            v = sum(map(mul, coeffs[i], pairings[j]))
+            v = row.get(ids[j])
+            if v is None:
+                v = table.pair(ids[i], ids[j])
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
             if v != (1 if adjacent else 0):
                 raise BadIntersection(i, j, v)
+    table.pairs_hits += n * (n - 1) // 2 - (table.pairs_misses - filled)
     total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
     if total != x.reduce_coeffs((1,) * n):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
@@ -199,12 +207,13 @@ def from_sequence(seq) -> ToricSystem:
 
 def to_sequence(system: ToricSystem) -> LineBundleSequence:
     """Partial sums (O, A_1, A_1 + A_2, ...): the exceptional sequence with
-    first bundle trivial."""
+    first bundle trivial, summed on the coefficient tuples."""
     x = system.surface
-    entries = [x.zero_class()]
+    sums = [(0,) * x.n]
     for a in system.entries[:-1]:
-        entries.append(entries[-1] + a)
-    return LineBundleSequence(x, tuple(entries))
+        x._require_same(a.surface)
+        sums.append(tuple(map(add, sums[-1], a.coeffs)))
+    return LineBundleSequence(x, tuple(DivisorClass(x, c) for c in sums))
 
 
 def associated_surface(system: ToricSystem) -> ToricSurface:
@@ -263,6 +272,7 @@ def deaugment(
     R^perp; and the merged sum is -K + R = -pi^*K.  The work is
     :func:`_deaugment_coeffs`, on the coefficients of the entries."""
     x = system.surface
+    _capped_table(x)  # a top-level entry: the pushdown memo counts toward the cap
     ray %= x.n
     if x.selfints[ray] != -1:
         raise NotDeaugmentable(f"ray {ray} is not contractible on {x}")
@@ -291,11 +301,18 @@ def _deaugment_coeffs(
     meets only its two neighbours, c.E = 0 reads c[ray - 1] + c[ray + 1] =
     c[ray]; an entry that fails it is a bug, not an input error, so it raises
     InternalInconsistency (``pushdown`` keeps its ValueError).  Reduced input
-    gives reduced-equivalent output: the shift is a relation below."""
+    gives reduced-equivalent output: the shift is a relation below.
+
+    Witness rebuilds push the same tuples down again and again, so the
+    class table of ``x`` keeps each pushdown per (ray, tuple) in its
+    ``drops`` memo, read only after the c.E = 0 check of the entry."""
     rel = x.blow_down(ray)
     n = x.n
     lo, hi = (ray - 1) % n, (ray + 1) % n
     neighbours = ((position - 1) % n, (position + 1) % n)
+    table = _class_table(x.selfints)
+    drops = table.drops
+    stored = len(drops)
     out = []
     for j, c in enumerate(coeffs):
         if j == position:
@@ -307,7 +324,15 @@ def _deaugment_coeffs(
                 "a de-augmented entry does not lie in the orthogonal complement "
                 "of the exceptional class"
             )
-        out.append(rel._drop_exceptional(c))
+        key = (ray, c)
+        below = drops.get(key)
+        if below is None:
+            below = drops[key] = rel._drop_exceptional(c)
+        out.append(below)
+    filled = len(drops) - stored
+    _ClassTable.entries += filled
+    table.drops_misses += filled
+    table.drops_hits += len(out) - filled
     return rel.below, tuple(out)
 
 
@@ -327,8 +352,9 @@ def is_exceptional(system: ToricSystem) -> bool:
 # Class tables ----------------------------------------------------------------
 
 CLASS_TABLE_CAP = 200_000
-"""The most entries (classes, sums and memo entries, over all class tables)
-kept from one top-level call to the next; the library's only memo cap."""
+"""The most entries (classes, sums, pairings, columns and memo entries, over
+all class tables) kept from one top-level call (see :func:`_capped_table`)
+to the next; the library's only memo cap."""
 
 
 class _ClassTable:
@@ -340,11 +366,15 @@ class _ClassTable:
     Per id the table keeps the bit "the negative does not vanish totally",
     filled on first use by ``vanishes_totally``; it is the only memo of a
     cohomology answer, as the cohomology module keeps none.  A sum table
-    maps (id, id) to the id of the sum.  The id-keyed memos of
-    :func:`_is_exceptional_ids` and of the de-augmentation search
-    (``torsys.classify._path``) live here too, with their hits and misses,
-    so :func:`_clear_class_tables` drops them together with the ids they
-    are keyed on."""
+    maps (id, id) to the id of the sum, and a pairing table maps (id, id) to
+    the intersection number, stored in both rows.  A Pic coordinate column c
+    is the reduced class (0, 0) + c (``columns``), so one pairing table
+    serves :func:`_check_axioms` and ``Isometry`` validation.  The id-keyed
+    memos of :func:`_is_exceptional_ids` and of the de-augmentation search
+    (``torsys.classify._path``) live here too, as does the ``drops`` memo of
+    :func:`_deaugment_coeffs`, each with its hits and misses.  Every stored
+    entry counts toward ``CLASS_TABLE_CAP``, and :func:`_clear_class_tables`
+    drops them all together with the ids they are keyed on."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -354,10 +384,15 @@ class _ClassTable:
         self.classes: list[tuple[int, ...]] = []
         self.bad: list[bool | None] = []
         self.sums: list[dict[int, int]] = []
+        self.pairs: list[dict[int, int]] = []
+        self.columns: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
         self.exceptional: dict[tuple[int, ...], bool] = {}
         self.paths: dict[tuple[int, ...], tuple | None] = {}
+        self.drops: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self.exceptional_hits = self.exceptional_misses = 0
         self.paths_hits = self.paths_misses = 0
+        self.pairs_hits = self.pairs_misses = 0
+        self.drops_hits = self.drops_misses = 0
 
     def intern(self, reduced: tuple[int, ...]) -> int:
         i = self.ids.get(reduced)
@@ -366,6 +401,7 @@ class _ClassTable:
             self.classes.append(reduced)
             self.bad.append(None)
             self.sums.append({})
+            self.pairs.append({})
             _ClassTable.entries += 1
         return i
 
@@ -376,6 +412,32 @@ class _ClassTable:
             s = row[b] = self.intern(tuple(map(add, self.classes[a], self.classes[b])))
             _ClassTable.entries += 1
         return s
+
+    def column(self, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The id of the Pic coordinate column c, the class (0, 0) + c, and
+        the one copy of c that matrices keep.  A new column must hold ints
+        only: 1.0 would hash and compare equal to 1."""
+        entry = self.columns.get(c)
+        if entry is None:
+            if not all(type(v) is int for v in c):
+                raise ValueError(f"matrix entries must be integers, got column {c!r}")
+            entry = self.columns[c] = (self.intern((0, 0) + c), c)
+            _ClassTable.entries += 1
+        return entry
+
+    def pair(self, a: int, b: int) -> int:
+        """The intersection number of classes a and b, computed on first use
+        (a miss) and stored in the rows of both."""
+        row = self.pairs[a]
+        v = row.get(b)
+        if v is None:
+            classes = self.classes
+            v = row[b] = self.pairs[b][a] = sum(
+                map(mul, classes[a], _divisor_pairings(self.surface.selfints, classes[b]))
+            )
+            self.pairs_misses += 1
+            _ClassTable.entries += 1 + (a != b)
+        return v
 
     def is_bad(self, i: int) -> bool:
         bad = self.bad[i]
@@ -439,30 +501,43 @@ class _MemoInfo(NamedTuple):
 
 
 def _memo_info(memo: str) -> _MemoInfo:
-    """Hits, misses and entries of one id-keyed memo, ``"exceptional"``
-    (:func:`_is_exceptional_ids`) or ``"paths"`` (the search), summed over
-    the class tables since they were last dropped."""
+    """Hits, misses and entries of one memo of the class tables,
+    ``"exceptional"`` (:func:`_is_exceptional_ids`), ``"paths"`` (the
+    search), ``"pairs"`` (the pairing table) or ``"drops"`` (the pushdowns
+    of :func:`_deaugment_coeffs`), summed over the class tables since they
+    were last dropped."""
     tables = _class_tables.values()
+
+    def size(table) -> int:
+        stored = getattr(table, memo)
+        return sum(map(len, stored)) if isinstance(stored, list) else len(stored)
+
     return _MemoInfo(
         sum(getattr(t, memo + "_hits") for t in tables),
         sum(getattr(t, memo + "_misses") for t in tables),
-        sum(len(getattr(t, memo)) for t in tables),
+        sum(map(size, tables)),
     )
 
 
-def _system_ids(system: ToricSystem) -> tuple[_ClassTable, tuple[int, ...]]:
-    """The table of ``system``'s surface and the ids of its entries.  The one
-    top-level entry to the tables: when they hold more than
-    CLASS_TABLE_CAP entries it drops them all first, before it interns, so
-    one search may take the tables past the cap until the next call.  A
-    search never comes back here.  Ids are only ever read with the table
-    object that issued them, which a search reaches through its caller's
-    table (``_ClassTable.contractible``), so no id an outer frame holds can
-    point into a newer table."""
+def _capped_table(x: ToricSurface) -> _ClassTable:
+    """The class table of ``x``'s presentation, for a top-level call
+    (``_system_ids``, :func:`_check_axioms`, ``Isometry`` and ``deaugment``):
+    when the tables hold more than CLASS_TABLE_CAP entries it drops them all
+    first, so one call may take them past the cap until the next.  No search
+    comes back here, and ids are only ever read with the table object that
+    issued them, which a search reaches through its caller's table
+    (``_ClassTable.contractible``), so no id an outer frame holds can point
+    into a newer table."""
     if _ClassTable.entries > CLASS_TABLE_CAP:
         _clear_class_tables()
-    x = system.surface
-    table = _class_table(x.selfints)
+    return _class_table(x.selfints)
+
+
+def _system_ids(system: ToricSystem) -> tuple[_ClassTable, tuple[int, ...]]:
+    """The table of ``system``'s surface and the ids of its entries, for the
+    public calls of the two kernels; the table comes from
+    :func:`_capped_table`, before anything is interned."""
+    table = _capped_table(system.surface)
     return table, tuple(table.intern(a.reduced()) for a in system.entries)
 
 

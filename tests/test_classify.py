@@ -368,6 +368,46 @@ def test_census_asks_each_class_once(monkeypatch):
     assert len(keys) == len(asked)
 
 
+def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
+    # a cold rank-6 census fills the pairing table (Isometry validation of
+    # the group, with its 56 distinct columns, then certify_full's
+    # from_sequence) and the pushdown memo of _deaugment_coeffs (searches
+    # and witness rebuilds); every stored entry counts toward
+    # CLASS_TABLE_CAP, and dropping the tables empties both
+    from torsys.systems import _class_tables, _ClassTable, _clear_class_tables, _memo_info
+
+    _clear_class_tables()
+    x = from_selfints(RANK6)
+    systems = orbit(standard_system(x), weyl_group(x))
+    exceptional = [s for s in systems if is_exceptional(s)]
+    nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
+    assert all(c.verdict == "full" for c in certs)
+    # 1920 matrices of 21 pairings, and 537 validations of 28 (the standard
+    # system and 536 from_sequence calls), meet 896 distinct pairs of
+    # classes, stored in both rows except the 56 of a class with itself
+    assert _memo_info("pairs") == (54460, 896, 2 * 896 - 56)
+    assert 1920 * 21 + 537 * 28 == 54460 + 896
+    # 32,317 pushed-down entries repeat 1,111 (ray, tuple) keys
+    assert _memo_info("drops") == (31206, 1111, 1111)
+    assert sum(len(t.columns) for t in _class_tables.values()) == 56
+    stored = sum(
+        len(t.classes)
+        + sum(map(len, t.sums))
+        + sum(map(len, t.pairs))
+        + len(t.columns)
+        + len(t.exceptional)
+        + len(t.paths)
+        + len(t.drops)
+        + sum(len(pushed) for *_, pushed in t.__dict__.get("contractible", ()))
+        for t in _class_tables.values()
+    )
+    assert _ClassTable.entries == stored == 14044
+    _clear_class_tables()
+    assert _memo_info("pairs") == _memo_info("drops") == (0, 0, 0)
+    assert _ClassTable.entries == 0
+
+
 def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     # the tables and their memos are dropped at top-level entries only,
     # whenever they hold more than the cap; ids held by an outer frame of a
@@ -399,8 +439,9 @@ def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     assert Counter(len(c.twists) for c in certs if c.verdict == "full") == {1: 480, 2: 48, 3: 8}
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
-    # without the cap the census leaves 11,051 entries; with it, the tables
-    # are dropped before most of the 3,872 top-level calls
+    # without the cap the census leaves 14,044 entries; with it, the tables
+    # are dropped before most of the 3,872 _system_ids calls, and before
+    # many of the Isometry validations
     assert len(clears) > 1000
     assert all(entries > 50 for entries in clears)
 

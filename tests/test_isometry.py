@@ -408,11 +408,18 @@ ONE_DIAGONAL = (  # column 4 = e_4 + 2 G^-1 e_4: only c_4 . G c_4 changes
     (0, 0, 0, 0, -3),
 )
 
+
+def _swapped_columns(m):
+    """m with its first two columns exchanged."""
+    return tuple((row[1], row[0]) + row[2:] for row in m)
+
+
 _REJECT_SCRIPT = f"""
 import sys
 sys.path.insert(0, sys.argv[1])
 import rank5
-from torsys.isometry import Isometry
+from torsys import from_selfints
+from torsys.isometry import Isometry, weyl_group
 
 if not sys.flags.optimize:
     sys.exit("run me under python -O")
@@ -424,6 +431,14 @@ for m in ({ONE_OFF_DIAGONAL!r}, {ONE_DIAGONAL!r}, minus, ((1, 0, 0, 0, 0),) * 4)
         print("accepted")
     except ValueError as exc:
         print(exc)
+# every pairing of these columns is in the pairing table, in the wrong order
+x = from_selfints({RANK6!r})
+m = weyl_group(x)[1000].matrix
+try:
+    Isometry(x, tuple((row[1], row[0]) + row[2:] for row in m))
+    print("accepted")
+except ValueError as exc:
+    print(exc)
 """
 
 
@@ -442,6 +457,19 @@ def test_isometry_rejects_one_broken_pairing_a_moved_k_and_a_bad_shape():
         Isometry(x, minus)
     with pytest.raises(ValueError, match="5 x 5"):
         Isometry(x, ((1, 0, 0, 0, 0),) * 4)
+
+
+def test_isometry_keeps_non_integer_columns_out_of_the_class_table():
+    # columns are interned in the surface's class table, which holds ints
+    # only: a new column with a float is refused before it is stored
+    from torsys.systems import _class_table, _clear_class_tables
+
+    _clear_class_tables()
+    x = from_selfints(RANK4)
+    m = tuple(tuple(float(v) for v in row) for row in _intlinalg.identity(x.pic_rank))
+    with pytest.raises(ValueError, match="must be integers"):
+        Isometry(x, m)
+    assert _class_table(x.selfints).classes == []
 
 
 def test_isometry_rejections_hold_under_optimize():
@@ -467,24 +495,58 @@ def test_isometry_rejections_hold_under_optimize():
         "matrix does not preserve the intersection pairing",
         "matrix does not fix the canonical class",
         "matrix is not 5 x 5",
+        "matrix does not preserve the intersection pairing",
     ]
 
 
-def test_isometries_read_gram_images_the_surface_computes():
-    # Isometry takes G c from a per-surface cache keyed by the column c; the
-    # cache holds G c from the surface's Gram matrix, one entry per distinct
-    # column of the group
+def test_isometry_rejects_known_columns_in_the_wrong_order():
+    # the columns of a rank-6 Weyl element with the first two exchanged:
+    # every pairing of two of them is already in the pairing table, and
+    # the stored values are compared with G entry by entry all the same
+    from torsys.systems import _class_table
+
+    x = from_selfints(RANK6)
+    w = weyl_group(x)[1000]
+    m = _swapped_columns(w.matrix)
+    assert _broken_pairings(x, m)
+    table = _class_table(x.selfints)
+    ids = [table.ids[(0, 0) + c] for c in zip(*m)]
+    assert all(b in table.pairs[a] for a in ids for b in ids)
+    with pytest.raises(ValueError, match="intersection pairing"):
+        Isometry(x, m)
+    Isometry(x, w.matrix)
+
+
+def test_isometries_read_pairings_the_class_table_computes():
+    # Isometry reads c_a . G c_b from the pairing table of the surface's
+    # class table, on the interned columns (0, 0) + c: from cold tables, the
+    # group's 56 distinct columns meet in 896 distinct pairs within a
+    # matrix, each computed once and stored in both rows, and each value is
+    # c_a^T G c_b
     from torsys.surface import ToricSurface
+    from torsys.systems import _class_tables, _clear_class_tables, _memo_info
 
     group = weyl_group(from_selfints(RANK6))
+    _clear_class_tables()
     fresh = ToricSurface(RANK6)
     for g in group:
         Isometry(fresh, g.matrix)
     columns = {c for g in group for c in zip(*g.matrix)}
-    assert set(fresh._gram_images) == columns
+    assert len(columns) == 56
+    (table,) = _class_tables.values()
+    assert {c[2:] for c in table.classes} == columns
+    assert all(c[:2] == (0, 0) for c in table.classes)
+    met = {frozenset((a, b)) for g in group for a in zip(*g.matrix) for b in zip(*g.matrix)}
+    info = _memo_info("pairs")
+    assert info.misses == len(met) == 896
+    assert info.currsize == 2 * 896 - 56
+    assert info.hits + info.misses == len(group) * 21
     gram = fresh.gram_matrix()
-    for c, image in fresh._gram_images.items():
-        assert image == _intlinalg.mat_vec(gram, c)
+    for a, row in enumerate(table.pairs):
+        for b, value in row.items():
+            ca, cb = table.classes[a][2:], table.classes[b][2:]
+            assert frozenset((ca, cb)) in met
+            assert value == sum(map(mul, ca, _intlinalg.mat_vec(gram, cb)))
 
 
 def _reference_orbit(system, isometries):

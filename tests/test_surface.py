@@ -340,6 +340,39 @@ def test_surface_equality_via_normalize():
     assert from_selfints((1, 1, 1)) != from_selfints((0, 0, 0, 0))
 
 
+def test_surfaces_normalize_once_and_compare_across_presentations(monkeypatch):
+    # normalized, == and hash read the least rotation, computed once per
+    # surface on first use; every rotation and mirror of a presentation
+    # still compares and hashes equal to it
+    import torsys.surface
+    from torsys.surface import ToricSurface
+
+    s = rank5.SELFINTS
+    want = normalize(s)
+    calls = []
+    least = torsys.surface._least_rotation
+
+    def counting(seq):
+        calls.append(seq)
+        return least(seq)
+
+    monkeypatch.setattr(torsys.surface, "_least_rotation", counting)
+    images = [s[k:] + s[:k] for k in range(len(s))]
+    images += [image[::-1] for image in images]
+    surfaces = [ToricSurface(image) for image in images]  # not interned
+    assert calls == []
+    base = surfaces[0]
+    for x in surfaces:
+        for _ in range(3):
+            assert x == base and base == x
+            assert hash(x) == hash(base)
+            assert x.normalized == want
+    assert len({x.normalized for x in surfaces}) == 1
+    # one computation per surface
+    assert sorted(calls) == sorted(images)
+    assert base != ToricSurface((1, 1, 1))
+
+
 def test_good_basis_f1():
     f1 = from_selfints((1, 0, -1, 0))
     gb = f1.good_basis(path=())

@@ -1,8 +1,10 @@
 import random
+from operator import add, mul
 
 import pytest
 
 from torsys import InternalInconsistency, from_selfints
+from torsys.surface import _divisor_pairings
 from torsys.systems import (
     BadCanonicalSum,
     BadIntersection,
@@ -48,6 +50,86 @@ def test_validate_errors():
         ToricSystem.validate(p2, [-1 * line, -1 * line, -1 * line])
     with pytest.raises(BadIntersection):
         ToricSystem.validate(p2, [line, line, 2 * line])
+
+
+def _reference_check_axioms(x, coeffs):
+    """The validation body without the class tables: every A_i . A_j by the
+    intersection formula on the coefficient tuples as given."""
+    n = x.n
+    if len(coeffs) != n:
+        raise BadLength(f"expected {n} entries, got {len(coeffs)}")
+    pairings = [tuple(_divisor_pairings(x.selfints, e)) for e in coeffs]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = sum(map(mul, coeffs[i], pairings[j]))
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if v != (1 if adjacent else 0):
+                raise BadIntersection(i, j, v)
+    total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
+    if total != x.reduce_coeffs((1,) * n):
+        raise BadCanonicalSum(f"entries sum to {total}, not -K")
+
+
+def _axioms_outcome(check, x, coeffs):
+    """None, or the type, message and (i, j, value) of the error raised."""
+    try:
+        check(x, coeffs)
+    except (BadLength, BadIntersection, BadCanonicalSum) as exc:
+        where = (exc.i, exc.j, exc.value) if isinstance(exc, BadIntersection) else None
+        return type(exc), str(exc), where
+    return None
+
+
+def _axiom_perturbations(x, coeffs, rng):
+    """Seeded perturbations of a system's coefficient tuples, every entry
+    shifted by a random relation, so that most tuples are not reduced: the
+    system itself, two entries swapped, one coefficient bumped, the negated system
+    (every pairing kept, the sum is K), an entry dropped and one added."""
+
+    def shift(c):
+        m = (rng.randint(-3, 3), rng.randint(-3, 3))
+        return tuple(map(add, c, x.relation_vector(m)))
+
+    n = len(coeffs)
+    yield tuple(map(shift, coeffs))
+    i, j = rng.sample(range(n), 2)
+    swapped = list(coeffs)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield tuple(map(shift, swapped))
+    bumped = list(map(shift, coeffs))
+    k, at = rng.randrange(n), rng.randrange(n)
+    bumped[k] = bumped[k][:at] + (bumped[k][at] + rng.choice((-1, 1)),) + bumped[k][at + 1 :]
+    yield tuple(bumped)
+    yield tuple(tuple(-a for a in shift(c)) for c in coeffs)
+    yield tuple(map(shift, coeffs[:-1]))
+    yield tuple(map(shift, coeffs + coeffs[:1]))
+
+
+@pytest.mark.parametrize(
+    "selfints,step", [(rank5.SELFINTS, 1), ((-2, -1, -2, -1, -2, -1, -2, -1), 16)], ids=["rank5", "rank6"]
+)
+def test_table_validation_equals_the_formula_reference(selfints, step):
+    # _check_axioms reads A_i . A_j from the class table's pairing table on
+    # reduced class ids; on seeded perturbations of orbit systems, from
+    # cold tables and again warm, it raises what the formula body raises,
+    # with the same (i, j, value), and passes what it passes
+    from collections import Counter
+
+    from torsys.isometry import weyl_orbit
+    from torsys.systems import _check_axioms, _clear_class_tables
+
+    x = from_selfints(selfints)
+    systems = weyl_orbit(x)[::step]
+    kinds = Counter()
+    for _ in range(2):
+        _clear_class_tables()
+        rng = random.Random(2024)
+        for s in systems:
+            for coeffs in _axiom_perturbations(x, tuple(a.coeffs for a in s.entries), rng):
+                want = _axioms_outcome(_reference_check_axioms, x, coeffs)
+                assert _axioms_outcome(_check_axioms, x, coeffs) == want
+                kinds[want and want[0]] += 1
+    assert set(kinds) == {None, BadLength, BadIntersection, BadCanonicalSum}
 
 
 def test_hirzebruch_systems_validate():
