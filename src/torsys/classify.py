@@ -14,12 +14,14 @@ the kernel's answers.  Twists are root reflections, so the twisted images of
 an orbit system lie in the same Weyl orbit, and a census searches each
 system once; the exceptionality test runs on the same class ids and keeps
 its verdicts in the same tables, so a census also tests each system once.
-Each public call interns its input once (``_system_ids``) and runs both
-kernels on those ids.  The kernel returns moves only; :func:`_witness`
-rebuilds the witness from them on the caller's own coefficient tuples, so
-witnesses and certificates do not depend on the tables.  Every
-de-augmentation, in the kernel, in that rebuild and in the public
-``deaugment``, runs through one body, ``_deaugment_coeffs`` in systems.py.  The twist search of
+Each public call interns its input once and runs both kernels on those
+ids: a system through ``_system_ids``, the sequence of :func:`certify_full`
+through its one validation, ``_check_axioms``.  The kernel returns moves
+only; :func:`_witness` rebuilds the witness from them on the caller's own
+coefficient tuples, so witnesses and certificates do not depend on the
+tables.  Every de-augmentation, in the kernel, in that rebuild and in the
+public ``deaugment``, runs through one body, ``_deaugment_coeffs`` in
+systems.py, a pure function that keeps no memo.  The twist search of
 :func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
 classes and systems are built only for what a caller receives.
 """
@@ -41,12 +43,13 @@ from .systems import (
     LineBundleSequence,
     ToricSystem,
     _augment_at_ray,
+    _check_axioms,
     _ClassTable,
     _deaugment_coeffs,
     _is_exceptional_ids,
+    _sequence_coeffs,
     _system_ids,
     classify_hirzebruch,
-    from_sequence,
     to_sequence,
 )
 from .twist import minus_two_rays
@@ -163,12 +166,13 @@ def _path(table: _ClassTable, ids: tuple[int, ...]) -> tuple | None:
     down, as a function of its class and of whether it absorbs D_ray.  The
     table's pushdown memo for the ray keeps those ids below; when an entry
     misses it, the whole system goes through :func:`_deaugment_coeffs`, the
-    one body, which checks c.E = 0 on every entry, and fills the memo.  So
-    every class in the memo passed that check, and the memo is filled by
-    the body alone.  Each de-augmented system must be exceptional and on a
-    Hirzebruch surface the label must agree with exceptionality; a miss
-    raises InternalInconsistency before the search stores an answer.  The
-    caller checks that the input is exceptional.
+    one body, which checks c.E = 0 on every entry, and the ids of its
+    output fill the memo.  So every class in the memo passed that check,
+    and the memo holds the body's output alone.  Each de-augmented system
+    must be exceptional and on a Hirzebruch surface the label must agree
+    with exceptionality; a miss raises InternalInconsistency before the
+    search stores an answer.  The caller checks that the input is
+    exceptional.
     """
     found = table.paths.get(ids, _UNSEARCHED)
     if found is not _UNSEARCHED:
@@ -263,18 +267,19 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     ``max_depth`` were left untwisted, or "twist closure exhausted at depth
     d" when no twist gives a new sequence beyond depth d, so the search ends
     there whatever ``max_depth`` is.
-    The search runs on the coefficient tuples of toric systems:
-    :func:`from_sequence` converts and validates the input once,
-    :func:`_twist` twists tuples, images are told apart by the class ids of
-    their entries, on which both kernels run (an entry twisted to A + d C
-    gets the sum-table id of A and d C), and only the certified image
-    becomes a ``ToricSystem`` again, converted back by :func:`to_sequence`.  The bundle-level twist,
-    ``torsys.twist.twist_sequence``, is what certificates replay against.
+    The search runs on the coefficient tuples of toric systems: the input
+    becomes the tuples of ``from_sequence``, through the same code, and one
+    validation, ``_check_axioms``, checks them and gives their class ids,
+    so no class or system is built for the input.  :func:`_twist` twists
+    tuples, and images are told apart by the class ids of their entries, on
+    which both kernels run: an entry the twist leaves keeps its id, and a
+    moved one is reduced and interned.  Only the certified image becomes a
+    ``ToricSystem`` again, converted back by :func:`to_sequence`.  The
+    bundle-level twist, ``torsys.twist.twist_sequence``, is what
+    certificates replay against.
     """
-    system = from_sequence(seq)
-    x = system.surface
-    coeffs = tuple(a.coeffs for a in system.entries)
-    table, ids = _system_ids(system)
+    x, coeffs = _sequence_coeffs(seq)
+    table, ids = _check_axioms(x, coeffs)
     if not _is_exceptional_ids(table, ids):
         raise NotExceptionalInput("fullness certification needs an exceptional sequence")
     found = _path(table, ids)
@@ -292,7 +297,6 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     # (coefficients, class ids, twists) per system of the frontier
     frontier: list[tuple[tuple, tuple, tuple[TwistApplication, ...]]] = [(coeffs, ids, ())]
     seen = {ids}
-    multiples: dict[tuple[int, int], int] = {}  # (ray, d) -> id of d D_ray
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
@@ -303,11 +307,10 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                 if twisted is None:
                     continue
                 image, cases = twisted
-                ids = []
-                for i, a, b in zip(current_ids, current, image):
-                    d = b[ray] - a[ray]  # the entry moved by d copies of C = D_ray
-                    ids.append(table.sum(i, _multiple(table, multiples, ray, d)) if d else i)
-                ids = tuple(ids)
+                ids = tuple(
+                    i if b is a else table.intern(x.reduce_coeffs(b))
+                    for i, a, b in zip(current_ids, current, image)
+                )
                 if ids in seen:
                     continue
                 seen.add(ids)
@@ -331,17 +334,6 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     return FullnessCertificate("unknown", (), None, None, notes)
 
 
-def _multiple(table: _ClassTable, multiples: dict, ray: int, d: int) -> int:
-    """The id of d D_ray in ``table``, kept in ``multiples``; a multiple of
-    a reduced tuple is reduced."""
-    key = (ray, d)
-    i = multiples.get(key)
-    if i is None:
-        unit = table.surface.divisor(ray).reduced()
-        i = multiples[key] = table.intern(tuple(d * c for c in unit))
-    return i
-
-
 def _twist(
     x: ToricSurface, ray: int, coeffs: tuple
 ) -> tuple[tuple, tuple[int, ...]] | None:
@@ -351,7 +343,8 @@ def _twist(
     neighbours, d_i = C.A_i is c[ray - 1] + c[ray + 1] - 2 c[ray].  The cases
     (0, d_1, d_1 + d_2, ...) over the first n - 1 entries are the C.E_i of
     :func:`to_sequence`, all 0 or 1 when admissible.  The image A_i + d_i C
-    adds d_i to coefficient ``ray``; it is the reflection at the root C, a
+    adds d_i to coefficient ``ray``, and an entry with d_i = 0 is the same
+    tuple object in the image; it is the reflection at the root C, a
     K-isometry, so the image is a toric system by construction and nothing
     checks it.  On the coefficients of a system from :func:`from_sequence`
     it gives those of ``from_sequence(twist_sequence(...))``: its partial

@@ -25,7 +25,13 @@ from .twist import TwistByCurve, twist_cases, twist_sequence
 # process (about 0.2 s of it the import) takes about 0.2 / 0.2 / 0.3 s for
 # check-exceptional, 0.4 / 0.55 / 0.7 s for check-constructible and
 # 0.4 / 0.5 / 0.75 s for certify-full on the standard system and its
-# sequence (2 cores, Python 3.11.7; 28 and 32 rays with the cap lifted)
+# sequence (2 cores, Python 3.11.7; 28 and 32 rays with the cap lifted).
+# On a non-constructible input, the first non-constructible system of the
+# rank-6 orbit report augmented at (0, 0) up to 24, 28 or 32 rays (it stays
+# exceptional and non-constructible, and certifies after three twists),
+# certify-full takes about 0.7 / 1.2 / 1.7 s in a fresh process, replay
+# included (median of 6 runs each, same machine); at 24 rays most of it is
+# the cohomology of 11,744 segment classes
 MAX_RAYS = 24
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import _intlinalg
 
@@ -508,28 +508,33 @@ class BlowupRelation:
             raise ValueError(
                 "class does not lie in the orthogonal complement of the exceptional class"
             )
-        return DivisorClass(self.below, self._drop_exceptional(c))
+        return DivisorClass(self.below, self._drop_exceptional(c, c[e]))
 
-    def _drop_exceptional(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        """The coefficients below of a vector c above with c.E = 0: c shifted
-        by c[e] relations so the exceptional coefficient vanishes, with that
-        coordinate deleted.  The caller checks c.E = 0."""
+    def _drop_exceptional(self, c: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """The one pushdown formula: the coefficients below of the vector
+        above that has the coordinates of c off e and t at e, which must meet
+        E in 0.  Coordinate e is deleted, then t unit relations (with e
+        deleted too) are subtracted: the shift that makes the exceptional
+        coefficient vanish.  ``pushdown`` passes t = c[e]; an entry that
+        absorbs D_e passes c[e] + 1 and needs no tuple of its own.  The
+        caller checks c.E = 0."""
         e = self.ray_index
-        t = c[e]
+        c = c[:e] + c[e + 1 :]
         if t:
-            c = tuple(ci - t * ri for ci, ri in zip(c, self._unit_relation))
-        return c[:e] + c[e + 1 :]
+            c = tuple(map(sub, c, map(t.__mul__, self._unit_relation)))
+        return c
 
     @functools.cached_property
     def _unit_relation(self) -> tuple[int, ...]:
         """The relation vector of some m with <m, v_e> = 1, from the xgcd of
-        the exceptional ray."""
-        vx, vy = self.above.rays[self.ray_index]
+        the exceptional ray, with coordinate e deleted."""
+        e = self.ray_index
+        vx, vy = self.above.rays[e]
         _, p, q = _xgcd(vx, vy)
         rel = self.above.relation_vector((p, q))
-        if rel[self.ray_index] != 1:
+        if rel[e] != 1:
             raise InternalInconsistency(f"ray ({vx}, {vy}) is not primitive")
-        return rel
+        return rel[:e] + rel[e + 1 :]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -22,7 +22,6 @@ from .surface import (
     InternalInconsistency,
     InvalidFan,
     ToricSurface,
-    _least_rotation,
     _divisor_pairings,
     from_selfints,
 )
@@ -97,14 +96,6 @@ class ToricSystem:
         """Exact identity of the sequence: surface presentation + entry coords."""
         return (self.surface.selfints, tuple(a.coords() for a in self.entries))
 
-    def canonical_key(self) -> tuple:
-        """Identity up to rotation and mirror: the least entry-coordinate
-        tuple over the 2n images of :meth:`symmetry_images`."""
-        return (
-            self.surface.selfints,
-            _least_rotation(tuple(a.coords() for a in self.entries)),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ToricSystem):
             return NotImplemented
@@ -158,18 +149,23 @@ def standard_system(x: ToricSurface) -> ToricSystem:
     return ToricSystem.validate(x, tuple(x.divisor(i) for i in range(x.n)))
 
 
-def _check_axioms(x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]) -> None:
+def _check_axioms(
+    x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]
+) -> tuple[_ClassTable, tuple[int, ...]]:
     """The toric-system axioms on the entries' coefficient tuples: n entries,
     A_i . A_j = 1 for cyclic neighbours and 0 otherwise, and
     sum A_i = -K = (1, ..., 1) modulo relations.  The one validation body,
-    for :meth:`ToricSystem.validate` and :func:`from_sequence`.  Each
-    A_i . A_j is read, on class ids, from the pairing table of the
-    surface's class table: the pairing is a function of the classes."""
+    for :meth:`ToricSystem.validate`, :func:`from_sequence` and
+    ``torsys.classify.certify_full``.  Each A_i . A_j is read, on class ids,
+    from the pairing table of the surface's class table: the pairing is a
+    function of the classes.  Returns that table, from
+    :func:`_capped_table`, and the ids of the entries, so a caller that
+    runs the kernels on them interns its input once."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
     table = _capped_table(x)
-    ids = [table.intern(x.reduce_coeffs(c)) for c in coeffs]
+    ids = tuple(table.intern(x.reduce_coeffs(c)) for c in coeffs)
     pairs = table.pairs
     filled = table.pairs_misses
     for i in range(n):
@@ -185,6 +181,7 @@ def _check_axioms(x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]) -> None:
     total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
     if total != x.reduce_coeffs((1,) * n):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
+    return table, ids
 
 
 def from_sequence(seq) -> ToricSystem:
@@ -192,6 +189,14 @@ def from_sequence(seq) -> ToricSystem:
     A_n = -K - sum of the others.  Raises the validation errors when the
     sequence is not exceptional-shaped.  Runs on coefficient tuples and
     builds the entries once, after :func:`_check_axioms` passed."""
+    x, coeffs = _sequence_coeffs(seq)
+    _check_axioms(x, coeffs)
+    return ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
+
+
+def _sequence_coeffs(seq) -> tuple[ToricSurface, tuple[tuple[int, ...], ...]]:
+    """The surface of ``seq`` and the coefficient tuples of the entries of
+    :func:`from_sequence`, unvalidated."""
     if not isinstance(seq, LineBundleSequence):
         seq = LineBundleSequence.of(seq)
     x = seq.surface
@@ -201,8 +206,7 @@ def from_sequence(seq) -> ToricSystem:
     coeffs = [tuple(map(sub, b, a)) for a, b in zip(bundles, bundles[1:])]
     # -K has coefficients (1, ..., 1)
     coeffs.append(tuple(1 - t for t in map(sum, zip((0,) * x.n, *coeffs))))
-    _check_axioms(x, tuple(coeffs))
-    return ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
+    return x, tuple(coeffs)
 
 
 def to_sequence(system: ToricSystem) -> LineBundleSequence:
@@ -272,7 +276,6 @@ def deaugment(
     R^perp; and the merged sum is -K + R = -pi^*K.  The work is
     :func:`_deaugment_coeffs`, on the coefficients of the entries."""
     x = system.surface
-    _capped_table(x)  # a top-level entry: the pushdown memo counts toward the cap
     ray %= x.n
     if x.selfints[ray] != -1:
         raise NotDeaugmentable(f"ray {ray} is not contractible on {x}")
@@ -292,47 +295,33 @@ def _deaugment_coeffs(
     x: ToricSurface, coeffs: tuple, position: int, ray: int
 ) -> tuple[ToricSurface, tuple]:
     """The one de-augmentation body, on coefficient tuples: the surface below
-    and the coefficients of the entries there.  Both neighbours of
-    ``position`` absorb the unit vector of ``ray``, the entry at ``position``
-    goes, and every other entry is pushed down as ``pushdown`` does it, with
-    the same relation shift, so the coefficients are those of
-    :meth:`BlowupRelation.pushdown`.  The caller checks that the entry at
+    and the coefficients of the entries there.  The entry at ``position``
+    goes, and every other entry is pushed down by
+    :meth:`BlowupRelation._drop_exceptional`, the formula of
+    :meth:`BlowupRelation.pushdown`; both neighbours of ``position`` absorb
+    the unit vector of ``ray``, which only raises the exceptional
+    coefficient t they pass by one.  The caller checks that the entry at
     ``position`` is the class E of the contractible ray.  As E^2 = -1 and E
     meets only its two neighbours, c.E = 0 reads c[ray - 1] + c[ray + 1] =
-    c[ray]; an entry that fails it is a bug, not an input error, so it raises
+    t; an entry that fails it is a bug, not an input error, so it raises
     InternalInconsistency (``pushdown`` keeps its ValueError).  Reduced input
-    gives reduced-equivalent output: the shift is a relation below.
-
-    Witness rebuilds push the same tuples down again and again, so the
-    class table of ``x`` keeps each pushdown per (ray, tuple) in its
-    ``drops`` memo, read only after the c.E = 0 check of the entry."""
+    gives reduced-equivalent output: the shift is a relation below.  A pure
+    function of its arguments: it reads no class table and keeps no memo."""
     rel = x.blow_down(ray)
     n = x.n
     lo, hi = (ray - 1) % n, (ray + 1) % n
     neighbours = ((position - 1) % n, (position + 1) % n)
-    table = _class_table(x.selfints)
-    drops = table.drops
-    stored = len(drops)
     out = []
     for j, c in enumerate(coeffs):
         if j == position:
             continue
-        if j in neighbours:
-            c = c[:ray] + (c[ray] + 1,) + c[ray + 1 :]
-        if c[lo] + c[hi] != c[ray]:
+        t = c[ray] + (j in neighbours)
+        if c[lo] + c[hi] != t:
             raise InternalInconsistency(
                 "a de-augmented entry does not lie in the orthogonal complement "
                 "of the exceptional class"
             )
-        key = (ray, c)
-        below = drops.get(key)
-        if below is None:
-            below = drops[key] = rel._drop_exceptional(c)
-        out.append(below)
-    filled = len(drops) - stored
-    _ClassTable.entries += filled
-    table.drops_misses += filled
-    table.drops_hits += len(out) - filled
+        out.append(rel._drop_exceptional(c, t))
     return rel.below, tuple(out)
 
 
@@ -352,9 +341,9 @@ def is_exceptional(system: ToricSystem) -> bool:
 # Class tables ----------------------------------------------------------------
 
 CLASS_TABLE_CAP = 200_000
-"""The most entries (classes, sums, pairings, columns and memo entries, over
-all class tables) kept from one top-level call (see :func:`_capped_table`)
-to the next; the library's only memo cap."""
+"""The most entries (classes, sums, pairings, columns and the entries of the
+id-keyed memos, over all class tables) kept from one top-level call (see
+:func:`_capped_table`) to the next; the library's only memo cap."""
 
 
 class _ClassTable:
@@ -371,10 +360,11 @@ class _ClassTable:
     is the reduced class (0, 0) + c (``columns``), so one pairing table
     serves :func:`_check_axioms` and ``Isometry`` validation.  The id-keyed
     memos of :func:`_is_exceptional_ids` and of the de-augmentation search
-    (``torsys.classify._path``) live here too, as does the ``drops`` memo of
-    :func:`_deaugment_coeffs`, each with its hits and misses.  Every stored
-    entry counts toward ``CLASS_TABLE_CAP``, and :func:`_clear_class_tables`
-    drops them all together with the ids they are keyed on."""
+    (``torsys.classify._path``, with its pushdowns per ray in
+    ``contractible``) live here too, each with its hits and misses.  Every
+    stored entry counts toward ``CLASS_TABLE_CAP``, and
+    :func:`_clear_class_tables` drops them all together with the ids they
+    are keyed on."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -388,11 +378,9 @@ class _ClassTable:
         self.columns: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
         self.exceptional: dict[tuple[int, ...], bool] = {}
         self.paths: dict[tuple[int, ...], tuple | None] = {}
-        self.drops: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self.exceptional_hits = self.exceptional_misses = 0
         self.paths_hits = self.paths_misses = 0
         self.pairs_hits = self.pairs_misses = 0
-        self.drops_hits = self.drops_misses = 0
 
     def intern(self, reduced: tuple[int, ...]) -> int:
         i = self.ids.get(reduced)
@@ -503,9 +491,8 @@ class _MemoInfo(NamedTuple):
 def _memo_info(memo: str) -> _MemoInfo:
     """Hits, misses and entries of one memo of the class tables,
     ``"exceptional"`` (:func:`_is_exceptional_ids`), ``"paths"`` (the
-    search), ``"pairs"`` (the pairing table) or ``"drops"`` (the pushdowns
-    of :func:`_deaugment_coeffs`), summed over the class tables since they
-    were last dropped."""
+    search) or ``"pairs"`` (the pairing table), summed over the class tables
+    since they were last dropped."""
     tables = _class_tables.values()
 
     def size(table) -> int:
@@ -521,7 +508,7 @@ def _memo_info(memo: str) -> _MemoInfo:
 
 def _capped_table(x: ToricSurface) -> _ClassTable:
     """The class table of ``x``'s presentation, for a top-level call
-    (``_system_ids``, :func:`_check_axioms`, ``Isometry`` and ``deaugment``):
+    (:func:`_system_ids`, :func:`_check_axioms` and ``Isometry``):
     when the tables hold more than CLASS_TABLE_CAP entries it drops them all
     first, so one call may take them past the cap until the next.  No search
     comes back here, and ids are only ever read with the table object that
@@ -535,8 +522,9 @@ def _capped_table(x: ToricSurface) -> _ClassTable:
 
 def _system_ids(system: ToricSystem) -> tuple[_ClassTable, tuple[int, ...]]:
     """The table of ``system``'s surface and the ids of its entries, for the
-    public calls of the two kernels; the table comes from
-    :func:`_capped_table`, before anything is interned."""
+    public calls of the two kernels on a system; the table comes from
+    :func:`_capped_table`, before anything is interned.  ``certify_full``,
+    which starts from a sequence, takes both from :func:`_check_axioms`."""
     table = _capped_table(system.surface)
     return table, tuple(table.intern(a.reduced()) for a in system.entries)
 

@@ -329,18 +329,23 @@ def _count_calls(monkeypatch, modules, name):
 def test_each_public_call_interns_its_input_once(monkeypatch):
     # is_exceptional, is_constructible and certify_full intern their input
     # once each, and orbit_report interns each orbit system once for both
-    # kernels; a search reaches the tables below through its caller's table
+    # kernels; a search reaches the tables below through its caller's table.
+    # certify_full takes its ids from its one validation, _check_axioms,
+    # and makes no _system_ids call
     import torsys.classify
     import torsys.systems
 
     interned = _count_calls(monkeypatch, [torsys.systems, torsys.classify], "_system_ids")
+    validated = _count_calls(monkeypatch, [torsys.classify], "_check_axioms")
     x = from_selfints(RANK6)
     systems = orbit(standard_system(x), weyl_group(x))
     exceptional = [s for s in systems if is_exceptional(s)]
     nonconstructible = [s for s in exceptional if is_constructible(s) is None]
+    assert (len(interned), len(validated)) == (1920 + 1416, 0)
     for s in nonconstructible:
         certify_full(to_sequence(s), max_depth=3)
-    assert len(interned) == 1920 + 1416 + 536 == 3872
+    assert (len(interned), len(validated)) == (1920 + 1416, 536)
+    assert len(interned) + len(validated) == 1920 + 1416 + 536 == 3872
     interned.clear()
     rep = orbit_report(rank5.surface())
     assert (rep.total, rep.exceptional_count, rep.constructible_count) == (120, 98, 96)
@@ -370,10 +375,10 @@ def test_census_asks_each_class_once(monkeypatch):
 
 def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
     # a cold rank-6 census fills the pairing table (Isometry validation of
-    # the group, with its 56 distinct columns, then certify_full's
-    # from_sequence) and the pushdown memo of _deaugment_coeffs (searches
-    # and witness rebuilds); every stored entry counts toward
-    # CLASS_TABLE_CAP, and dropping the tables empties both
+    # the group, with its 56 distinct columns, then certify_full's one
+    # validation) and the search's pushdown memos per ray; every stored
+    # entry counts toward CLASS_TABLE_CAP, and dropping the tables empties
+    # them all
     from torsys.systems import _class_tables, _ClassTable, _clear_class_tables, _memo_info
 
     _clear_class_tables()
@@ -384,12 +389,10 @@ def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
     certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
     assert all(c.verdict == "full" for c in certs)
     # 1920 matrices of 21 pairings, and 537 validations of 28 (the standard
-    # system and 536 from_sequence calls), meet 896 distinct pairs of
+    # system and 536 certify_full inputs), meet 896 distinct pairs of
     # classes, stored in both rows except the 56 of a class with itself
     assert _memo_info("pairs") == (54460, 896, 2 * 896 - 56)
     assert 1920 * 21 + 537 * 28 == 54460 + 896
-    # 32,317 pushed-down entries repeat 1,111 (ray, tuple) keys
-    assert _memo_info("drops") == (31206, 1111, 1111)
     assert sum(len(t.columns) for t in _class_tables.values()) == 56
     stored = sum(
         len(t.classes)
@@ -398,13 +401,15 @@ def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
         + len(t.columns)
         + len(t.exceptional)
         + len(t.paths)
-        + len(t.drops)
         + sum(len(pushed) for *_, pushed in t.__dict__.get("contractible", ()))
         for t in _class_tables.values()
     )
-    assert _ClassTable.entries == stored == 14044
+    # 12,843: the de-augmentation body keeps no pushdown memo (it held
+    # 1,111 entries), and certify_full interns a twisted entry directly,
+    # where it stored 90 sums of an entry and a multiple d D_ray
+    assert _ClassTable.entries == stored == 12843
     _clear_class_tables()
-    assert _memo_info("pairs") == _memo_info("drops") == (0, 0, 0)
+    assert _memo_info("pairs") == (0, 0, 0)
     assert _ClassTable.entries == 0
 
 
@@ -439,9 +444,10 @@ def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     assert Counter(len(c.twists) for c in certs if c.verdict == "full") == {1: 480, 2: 48, 3: 8}
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
-    # without the cap the census leaves 14,044 entries; with it, the tables
-    # are dropped before most of the 3,872 _system_ids calls, and before
-    # many of the Isometry validations
+    # without the cap the census leaves 12,843 entries; with it, the tables
+    # are dropped before most of the 3,872 internings (_system_ids calls
+    # and certify_full's validations), and before many of the Isometry
+    # validations
     assert len(clears) > 1000
     assert all(entries > 50 for entries in clears)
 
@@ -486,9 +492,10 @@ def _reference_search(system, memo):
     """The object-level de-augmentation search with a memo of one top-level
     call, as the library ran it before its cached kernel on reduced tuples:
     failures are kept up to rotation/mirror, successes under
-    ToricSystem.key()."""
+    ToricSystem.key(); the failure key is the least entry-coordinate tuple
+    over the rotations and mirrors of the system."""
     from torsys.classify import ConstructibilityWitness, DeaugmentationStep
-    from torsys.surface import InternalInconsistency
+    from torsys.surface import InternalInconsistency, _least_rotation
     from torsys.systems import classify_hirzebruch, deaugment
 
     x = system.surface
@@ -503,7 +510,7 @@ def _reference_search(system, memo):
     exact = system.key()
     if exact in memo.witnesses:
         return memo.witnesses[exact]
-    canon = system.canonical_key()
+    canon = (x.selfints, _least_rotation(tuple(a.coords() for a in system.entries)))
     if canon in memo.false_keys:
         return None
     reduced = [entry.reduced() for entry in system.entries]
@@ -770,18 +777,12 @@ def test_orbit_report_pairing_equals_the_quadratic_scan():
 def test_search_path_validates_only_its_input(monkeypatch):
     # orbit images, de-augmentations and twisted systems are built unchecked;
     # only the standard system and each certify_full input are validated,
-    # through the one validation body that ToricSystem.validate and
-    # from_sequence share
+    # through the one validation body that ToricSystem.validate,
+    # from_sequence and certify_full share
+    import torsys.classify
     import torsys.systems
 
-    calls = []
-    check = torsys.systems._check_axioms
-
-    def counting(surface, coeffs):
-        calls.append(surface)
-        return check(surface, coeffs)
-
-    monkeypatch.setattr(torsys.systems, "_check_axioms", counting)
+    calls = _count_calls(monkeypatch, [torsys.systems, torsys.classify], "_check_axioms")
     rep = orbit_report(rank5.surface())
     assert len(calls) == 1
     for s in (standard_system(rank5.surface()),) + rep.nonconstructible:

@@ -223,6 +223,35 @@ def test_surface_at_the_ray_cap_is_read(capsys):
     assert code == 0 and data["k0_rank"] == MAX_RAYS
 
 
+def test_certify_full_at_the_ray_cap_on_a_non_constructible_sequence(capsys, monkeypatch):
+    # the first non-constructible system of the rank-6 orbit report,
+    # augmented at (0, 0) until it has MAX_RAYS = 24 rays, stays exceptional
+    # and non-constructible; certify-full certifies it after three twists
+    # and replays the certificate before printing it
+    import torsys.cli
+    from torsys import from_selfints
+    from torsys.classify import orbit_report
+    from torsys.schema import MAX_RAYS
+    from torsys.systems import augment, to_sequence
+
+    s = orbit_report(from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))).nonconstructible[0]
+    while s.surface.n < MAX_RAYS:
+        s = augment(s, 0, 0)
+    seq = to_sequence(s)
+    blob = json.dumps(
+        {"surface": list(seq.surface.selfints), "entries": [list(e.coeffs) for e in seq.entries]}
+    )
+    replayed = []
+    replay = torsys.cli.replay_certificate
+    monkeypatch.setattr(
+        torsys.cli, "replay_certificate", lambda *args: replayed.append(replay(*args))
+    )
+    code, data = run_json(capsys, "certify-full", "--sequence", blob)
+    assert code == 0 and data["verdict"] == "full"
+    assert [t["curve_ray"] for t in data["twists"]] == [18, 20, 22]
+    assert replayed == [None]
+
+
 @pytest.mark.parametrize(
     "command", ["surface", "cohomology", "check-system", "check-exceptional",
                 "check-constructible", "certify-full", "orbit-report"],

@@ -320,6 +320,75 @@ def test_deaugment_equals_the_object_reference_coefficient_by_coefficient():
     assert counts == {4: 2 * 72, 5: 2 * 300, 6: 2 * 1920}
 
 
+def _reference_drop_exceptional(rel, c):
+    """The pushdown formula as it ran before it took the exceptional
+    coefficient as an argument, coordinate by coordinate: c shifted by c[e]
+    full-length unit relations, so that coefficient e vanishes, and then
+    coordinate e deleted.  The unit relation comes from the xgcd reference
+    of tests/test_surface.py."""
+    from test_surface import _reference_xgcd
+
+    e = rel.ray_index
+    vx, vy = rel.above.rays[e]
+    _, p, q = _reference_xgcd(vx, vy)
+    unit = rel.above.relation_vector((p, q))
+    t = c[e]
+    if t:
+        c = tuple(ci - t * ri for ci, ri in zip(c, unit))
+    return c[:e] + c[e + 1 :]
+
+
+@pytest.mark.parametrize(
+    "selfints",
+    [(-1,) * 6, rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)],
+    ids=["rank4", "rank5", "rank6"],
+)
+def test_one_pushdown_formula_equals_the_per_coordinate_reference(selfints):
+    # _deaugment_coeffs and pushdown share one pushdown formula, which takes
+    # the exceptional coefficient t as an argument.  On orbit systems whose
+    # entries are shifted by seeded relations, so that they are not reduced
+    # (like certify_full's last entry and its twisted entries), both match
+    # the per-coordinate reference exactly, on the two entries that absorb
+    # D_ray and on the others; pushdown still refuses a class off E-perp
+    from collections import Counter
+
+    from torsys.isometry import weyl_orbit
+    from torsys.surface import DivisorClass
+    from torsys.systems import _deaugment_coeffs
+
+    x = from_selfints(selfints)
+    n = x.n
+    rng = random.Random(1729)
+
+    def shift(c):
+        m = (rng.randint(-3, 3), rng.randint(-3, 3))
+        return tuple(map(add, c, x.relation_vector(m)))
+
+    kinds = Counter()
+    for s in weyl_orbit(x):
+        coeffs = tuple(shift(a.coeffs) for a in s.entries)
+        for ray in x.contractible_rays():
+            rel = x.blow_down(ray)
+            r = x.divisor(ray)
+            for position, entry in enumerate(s.entries):
+                if entry != r:
+                    continue
+                absorbing = ((position - 1) % n, (position + 1) % n)
+                want = []
+                for j, c in enumerate(coeffs):
+                    if j == position:
+                        continue
+                    if j in absorbing:
+                        c = c[:ray] + (c[ray] + 1,) + c[ray + 1 :]
+                    want.append(_reference_drop_exceptional(rel, c))
+                    assert rel.pushdown(DivisorClass(x, c)).coeffs == want[-1]
+                    with pytest.raises(ValueError):
+                        rel.pushdown(DivisorClass(x, c) + r)  # meets E in -1
+                    kinds[j in absorbing, c[ray] != 0] += 1
+                assert _deaugment_coeffs(x, coeffs, position, ray) == (rel.below, tuple(want))
+    assert set(kinds) == {(a, t) for a in (False, True) for t in (False, True)}
+
+
 def test_deaugment_errors():
     x = rank5.surface()
     s = standard_system(x)
@@ -553,13 +622,3 @@ def test_augmentation_preserves_exceptionality_seeded():
         assert is_exceptional(big) == is_exceptional(s)
         checked += 1
     assert checked == 60
-
-
-def test_canonical_key_is_least_symmetry_image():
-    from torsys.isometry import orbit, weyl_group
-
-    x = rank5.surface()
-    for s in orbit(standard_system(x), weyl_group(x))[:40]:
-        want = min(image.key() for image in s.symmetry_images())
-        assert s.canonical_key() == want
-        assert s.rotate(3).canonical_key() == s.mirror().canonical_key() == want
