@@ -269,13 +269,14 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     there whatever ``max_depth`` is.
     The search runs on the coefficient tuples of toric systems: the input
     becomes the tuples of ``from_sequence``, through the same code, and one
-    validation, ``_check_axioms``, checks them and gives their class ids,
-    so no class or system is built for the input.  :func:`_twist` twists
-    tuples, and images are told apart by the class ids of their entries, on
-    which both kernels run: an entry the twist leaves keeps its id, and a
-    moved one is reduced and interned.  Only the certified image becomes a
-    ``ToricSystem`` again, converted back by :func:`to_sequence`.  The
-    bundle-level twist, ``torsys.twist.twist_sequence``, is what
+    validation, ``_check_axioms``, checks them by the intersection formula
+    and, once they pass, gives their class ids, so no class or system is
+    built for the input and a rejected one interns nothing.  :func:`_twist`
+    twists tuples, and images are told apart by the class ids of their
+    entries, on which both kernels run: an entry the twist leaves keeps its
+    id, and a moved one is reduced and interned.  Only the certified image
+    becomes a ``ToricSystem`` again, converted back by :func:`to_sequence`.
+    The bundle-level twist, ``torsys.twist.twist_sequence``, is what
     certificates replay against.
     """
     x, coeffs = _sequence_coeffs(seq)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .classify import InvalidWitness, certify_full, orbit_report
+from .classify import InvalidWitness, certify_full, is_constructible, orbit_report
 from .cohomology import (
     ORACLE_MAX_CHARACTERS,
     cohomology_dims,
@@ -140,8 +140,6 @@ def _cmd_check_exceptional(args) -> int:
 
 
 def _cmd_check_constructible(args) -> int:
-    from .classify import is_constructible
-
     system = system_from_json(_load_json_arg(args.system))
     witness = is_constructible(system)
     if witness is None:

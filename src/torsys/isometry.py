@@ -6,14 +6,14 @@ For Picard rank 3 <= rho <= 9 the K-isometries form the finite Weyl group of
 the root set {D : D^2 = -2, D.K = 0}.  Roots are enumerated from the defining
 equations in a good basis, where K = -3H + R_1 + ... + R_l pins the linear
 constraint 3 d_0 = -sum d_i and the quadric gives sum d_i^2 = d_0^2 + 2.
-One reflection BFS moves the Pic basis for :func:`weyl_group` (validated
-matrices) and the standard system's entries for :func:`weyl_orbit` (no matrix).
-It keys each element by its pairings with the roots, packed into one int,
-so a product with a reflection is one shift, mask, multiply and add, and it
-reflects each distinct vector once per reflection, through id tables.
-:class:`Isometry` reads M^T G M from the pairing table of the surface's
-class table (``_ClassTable`` in systems.py), and :func:`orbit` builds
-images from the columns it keeps.
+One reflection BFS moves the Pic basis for :func:`weyl_group` (products of
+validated reflections) and the standard system's entries for
+:func:`weyl_orbit` (no matrix).  It keys each element by its pairings with
+the roots, packed into one int, so a product with a reflection is one shift,
+mask, multiply and add, and it reflects each distinct vector once per
+reflection, through id tables.  :class:`Isometry` validates a matrix by the
+pairing formula and keeps its columns, from which :func:`orbit` builds
+images; it reads no class table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import mul
 
 from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
-from .systems import ToricSystem, _capped_table, standard_system
+from .systems import ToricSystem, standard_system
 
 # |W(E7)| is about 2.9 million, so Picard rank 8 is refused
 WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
@@ -55,15 +55,15 @@ class Isometry:
     """An automorphism of Pic(X) preserving the pairing and fixing K, stored
     as a matrix on the coordinates in the basis ([D_3], ..., [D_n]).
 
-    Validation checks M^T G M = G and M K = K.  That already makes M
+    Validation checks that every entry is an int (1.0 would hash and
+    compare equal to 1), then M^T G M = G and M K = K.  That already makes M
     invertible over the integers: taking determinants, det(M)^2 det G = det G,
     and the Gram matrix G of Pic is unimodular (det G = +-1, by Poincare
     duality), so det M = +-1.  Entry (i, j) of M^T G M is c_i.(G c_j) for
     the columns c of M, and both sides are symmetric, so only i <= j is
-    checked, every entry for every matrix.  A column c is the reduced class
-    (0, 0) + c, and c_i.(G c_j) is read from the pairing table of the
-    surface's class table, which computes each pair of classes once.  The
-    columns are kept (``_ClassTable.column``) for :func:`orbit`.
+    checked.  The columns are kept for :func:`orbit`.  :func:`weyl_group`
+    builds its products with :meth:`_unchecked`, as each is a product of
+    validated reflections.
     """
 
     surface: ToricSurface
@@ -75,23 +75,28 @@ class Isometry:
         m = self.matrix
         if len(m) != len(g) or any(len(row) != len(g) for row in m):
             raise ValueError(f"matrix is not {len(g)} x {len(g)}")
-        table = _capped_table(x)
-        ids, cols = zip(*map(table.column, zip(*m)))
-        object.__setattr__(self, "_columns", cols)
-        pairs = table.pairs
-        filled = table.pairs_misses
-        for j, b in enumerate(ids):
-            # row j of G against c_i.(G c_j), i <= j: stored pairings first,
-            # and on a miss or a mismatch the table's own, computed on demand
-            want, before = g[j][: j + 1], ids[: j + 1]
-            if tuple(map(pairs[b].get, before)) != want and tuple(
-                table.pair(a, b) for a in before
-            ) != want:
+        cols = tuple(zip(*m))
+        for c in cols:
+            if not all(type(v) is int for v in c):
+                raise ValueError(f"matrix entries must be integers, got column {c!r}")
+        for j, gc in enumerate(_intlinalg.mat_vec(g, c) for c in cols):
+            if tuple(sum(map(mul, c, gc)) for c in cols[: j + 1]) != g[j][: j + 1]:
                 raise ValueError("matrix does not preserve the intersection pairing")
-        table.pairs_hits += len(ids) * (len(ids) + 1) // 2 - (table.pairs_misses - filled)
         k = x.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
+        object.__setattr__(self, "_columns", cols)
+
+    @classmethod
+    def _unchecked(cls, x: ToricSurface, columns, rows) -> "Isometry":
+        """The isometry with the given columns and rows, built without
+        validation: for :func:`weyl_group` only, whose every element is a
+        product of reflections the constructor checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "surface", x)
+        object.__setattr__(w, "matrix", rows)
+        object.__setattr__(w, "_columns", columns)
+        return w
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
         self.surface._require_same(cls.surface)
@@ -186,6 +191,12 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     element w, identity first, its key and the images w(u) of the ``start``
     coordinate vectors.
 
+    Each distinct reflection is checked once, by the :class:`Isometry`
+    constructor, as :func:`reflection` builds it: the matrix I + r (G r)^T.
+    The closure applies exactly u -> u + (r.u) r, which is that matrix, so
+    every element is a product of checked matrices, and so preserves the
+    pairing and fixes K.
+
     Elements are told apart by their image w(v) of one regular vector v, an
     integer vector with r.v != 0 for every root r: the first
     (1, b, b^2, ...) with b = 2, 3, ... that qualifies.  This is sound.  W
@@ -237,9 +248,10 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     gens: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for r in roots(x):
         rc = r.cls.coords()
-        gens.setdefault(
-            min(rc, tuple(-c for c in rc)), (rc, _intlinalg.mat_vec(gram, rc))
-        )
+        kept = min(rc, tuple(-c for c in rc))
+        if kept not in gens:
+            reflection(r)
+            gens[kept] = (rc, _intlinalg.mat_vec(gram, rc))
     rcs = [rc for rc, _ in gens.values()]
     rgs = [rg for _, rg in gens.values()]
     v = _regular_vector(rgs)
@@ -312,12 +324,14 @@ def _pack(values, offset: int, width: int) -> int:
 
 
 def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
-    """The Weyl group as validated matrices, whose columns are the images of
-    the Pic basis; equal rows are stored once."""
+    """The Weyl group as products of validated reflections, whose columns
+    are the images of the Pic basis; equal rows are stored once.  The
+    products are built unchecked: see :func:`_reflection_closure`."""
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     images = _reflection_closure(x, _intlinalg.identity(x.pic_rank))
     return tuple(
-        Isometry(x, tuple(rows.setdefault(r, r) for r in zip(*cols))) for _, cols in images
+        Isometry._unchecked(x, cols, tuple(rows.setdefault(r, r) for r in zip(*cols)))
+        for _, cols in images
     )
 
 
@@ -390,10 +404,11 @@ def all_k_isometries(x: ToricSurface) -> tuple[Isometry, ...]:
 def orbit(system: ToricSystem, isometries) -> list[ToricSystem]:
     """Entrywise images w(A) for each w, deduplicated as exact sequences,
     in the order the isometries are supplied.  Images are built unchecked,
-    with one class per distinct image: the :class:`Isometry` constructor
-    proved that each map preserves the pairing and fixes K.  w(u) is the
-    column j the constructor kept when u is the unit vector e_j, as most
-    start coordinates are, and the rows of w's matrix times u otherwise."""
+    with one class per distinct image: each map preserves the pairing and
+    fixes K, checked by the :class:`Isometry` constructor or, for
+    :func:`weyl_group`, on its reflections.  w(u) is the column j of w's
+    matrix when u is the unit vector e_j, as most start coordinates are,
+    and the rows of w's matrix times u otherwise."""
     x = system.surface
     # each entry's coordinates: the index j of e_j, or the vector itself
     units = {u: j for j, u in enumerate(_intlinalg.identity(x.pic_rank))}

@@ -153,35 +153,29 @@ def _check_axioms(
     x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]
 ) -> tuple[_ClassTable, tuple[int, ...]]:
     """The toric-system axioms on the entries' coefficient tuples: n entries,
-    A_i . A_j = 1 for cyclic neighbours and 0 otherwise, and
-    sum A_i = -K = (1, ..., 1) modulo relations.  The one validation body,
-    for :meth:`ToricSystem.validate`, :func:`from_sequence` and
-    ``torsys.classify.certify_full``.  Each A_i . A_j is read, on class ids,
-    from the pairing table of the surface's class table: the pairing is a
-    function of the classes.  Returns that table, from
+    A_i . A_j = 1 for cyclic neighbours and 0 otherwise (by the intersection
+    formula of :func:`_divisor_pairings`), and sum A_i = -K = (1, ..., 1)
+    modulo relations.  The one validation body, for
+    :meth:`ToricSystem.validate`, :func:`from_sequence` and
+    ``torsys.classify.certify_full``.  Once every axiom has passed, and not
+    before, the entries are interned: returns the class table, from
     :func:`_capped_table`, and the ids of the entries, so a caller that
     runs the kernels on them interns its input once."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
-    table = _capped_table(x)
-    ids = tuple(table.intern(x.reduce_coeffs(c)) for c in coeffs)
-    pairs = table.pairs
-    filled = table.pairs_misses
+    pairings = [tuple(_divisor_pairings(x.selfints, e)) for e in coeffs]
     for i in range(n):
-        row = pairs[ids[i]]
         for j in range(i + 1, n):
-            v = row.get(ids[j])
-            if v is None:
-                v = table.pair(ids[i], ids[j])
+            v = sum(map(mul, coeffs[i], pairings[j]))
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
             if v != (1 if adjacent else 0):
                 raise BadIntersection(i, j, v)
-    table.pairs_hits += n * (n - 1) // 2 - (table.pairs_misses - filled)
     total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
     if total != x.reduce_coeffs((1,) * n):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
-    return table, ids
+    table = _capped_table(x)
+    return table, tuple(table.intern(x.reduce_coeffs(c)) for c in coeffs)
 
 
 def from_sequence(seq) -> ToricSystem:
@@ -341,8 +335,8 @@ def is_exceptional(system: ToricSystem) -> bool:
 # Class tables ----------------------------------------------------------------
 
 CLASS_TABLE_CAP = 200_000
-"""The most entries (classes, sums, pairings, columns and the entries of the
-id-keyed memos, over all class tables) kept from one top-level call (see
+"""The most entries (classes, sums and the entries of the id-keyed memos,
+over all class tables) kept from one top-level call (see
 :func:`_capped_table`) to the next; the library's only memo cap."""
 
 
@@ -355,11 +349,8 @@ class _ClassTable:
     Per id the table keeps the bit "the negative does not vanish totally",
     filled on first use by ``vanishes_totally``; it is the only memo of a
     cohomology answer, as the cohomology module keeps none.  A sum table
-    maps (id, id) to the id of the sum, and a pairing table maps (id, id) to
-    the intersection number, stored in both rows.  A Pic coordinate column c
-    is the reduced class (0, 0) + c (``columns``), so one pairing table
-    serves :func:`_check_axioms` and ``Isometry`` validation.  The id-keyed
-    memos of :func:`_is_exceptional_ids` and of the de-augmentation search
+    maps (id, id) to the id of the sum.  The id-keyed memos of
+    :func:`_is_exceptional_ids` and of the de-augmentation search
     (``torsys.classify._path``, with its pushdowns per ray in
     ``contractible``) live here too, each with its hits and misses.  Every
     stored entry counts toward ``CLASS_TABLE_CAP``, and
@@ -374,13 +365,10 @@ class _ClassTable:
         self.classes: list[tuple[int, ...]] = []
         self.bad: list[bool | None] = []
         self.sums: list[dict[int, int]] = []
-        self.pairs: list[dict[int, int]] = []
-        self.columns: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
         self.exceptional: dict[tuple[int, ...], bool] = {}
         self.paths: dict[tuple[int, ...], tuple | None] = {}
         self.exceptional_hits = self.exceptional_misses = 0
         self.paths_hits = self.paths_misses = 0
-        self.pairs_hits = self.pairs_misses = 0
 
     def intern(self, reduced: tuple[int, ...]) -> int:
         i = self.ids.get(reduced)
@@ -389,7 +377,6 @@ class _ClassTable:
             self.classes.append(reduced)
             self.bad.append(None)
             self.sums.append({})
-            self.pairs.append({})
             _ClassTable.entries += 1
         return i
 
@@ -400,32 +387,6 @@ class _ClassTable:
             s = row[b] = self.intern(tuple(map(add, self.classes[a], self.classes[b])))
             _ClassTable.entries += 1
         return s
-
-    def column(self, c: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """The id of the Pic coordinate column c, the class (0, 0) + c, and
-        the one copy of c that matrices keep.  A new column must hold ints
-        only: 1.0 would hash and compare equal to 1."""
-        entry = self.columns.get(c)
-        if entry is None:
-            if not all(type(v) is int for v in c):
-                raise ValueError(f"matrix entries must be integers, got column {c!r}")
-            entry = self.columns[c] = (self.intern((0, 0) + c), c)
-            _ClassTable.entries += 1
-        return entry
-
-    def pair(self, a: int, b: int) -> int:
-        """The intersection number of classes a and b, computed on first use
-        (a miss) and stored in the rows of both."""
-        row = self.pairs[a]
-        v = row.get(b)
-        if v is None:
-            classes = self.classes
-            v = row[b] = self.pairs[b][a] = sum(
-                map(mul, classes[a], _divisor_pairings(self.surface.selfints, classes[b]))
-            )
-            self.pairs_misses += 1
-            _ClassTable.entries += 1 + (a != b)
-        return v
 
     def is_bad(self, i: int) -> bool:
         bad = self.bad[i]
@@ -490,25 +451,19 @@ class _MemoInfo(NamedTuple):
 
 def _memo_info(memo: str) -> _MemoInfo:
     """Hits, misses and entries of one memo of the class tables,
-    ``"exceptional"`` (:func:`_is_exceptional_ids`), ``"paths"`` (the
-    search) or ``"pairs"`` (the pairing table), summed over the class tables
-    since they were last dropped."""
+    ``"exceptional"`` (:func:`_is_exceptional_ids`) or ``"paths"`` (the
+    search), summed over the class tables since they were last dropped."""
     tables = _class_tables.values()
-
-    def size(table) -> int:
-        stored = getattr(table, memo)
-        return sum(map(len, stored)) if isinstance(stored, list) else len(stored)
-
     return _MemoInfo(
         sum(getattr(t, memo + "_hits") for t in tables),
         sum(getattr(t, memo + "_misses") for t in tables),
-        sum(map(size, tables)),
+        sum(len(getattr(t, memo)) for t in tables),
     )
 
 
 def _capped_table(x: ToricSurface) -> _ClassTable:
     """The class table of ``x``'s presentation, for a top-level call
-    (:func:`_system_ids`, :func:`_check_axioms` and ``Isometry``):
+    (:func:`_system_ids` and :func:`_check_axioms`):
     when the tables hold more than CLASS_TABLE_CAP entries it drops them all
     first, so one call may take them past the cap until the next.  No search
     comes back here, and ids are only ever read with the table object that

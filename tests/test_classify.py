@@ -374,11 +374,10 @@ def test_census_asks_each_class_once(monkeypatch):
 
 
 def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
-    # a cold rank-6 census fills the pairing table (Isometry validation of
-    # the group, with its 56 distinct columns, then certify_full's one
-    # validation) and the search's pushdown memos per ray; every stored
-    # entry counts toward CLASS_TABLE_CAP, and dropping the tables empties
-    # them all
+    # a cold rank-6 census fills the class tables with classes, sums, the
+    # exceptionality and search memos and the search's pushdown memos per
+    # ray; every stored entry counts toward CLASS_TABLE_CAP, and dropping
+    # the tables empties them all
     from torsys.systems import _class_tables, _ClassTable, _clear_class_tables, _memo_info
 
     _clear_class_tables()
@@ -388,28 +387,20 @@ def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
     nonconstructible = [s for s in exceptional if is_constructible(s) is None]
     certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
     assert all(c.verdict == "full" for c in certs)
-    # 1920 matrices of 21 pairings, and 537 validations of 28 (the standard
-    # system and 536 certify_full inputs), meet 896 distinct pairs of
-    # classes, stored in both rows except the 56 of a class with itself
-    assert _memo_info("pairs") == (54460, 896, 2 * 896 - 56)
-    assert 1920 * 21 + 537 * 28 == 54460 + 896
-    assert sum(len(t.columns) for t in _class_tables.values()) == 56
     stored = sum(
         len(t.classes)
         + sum(map(len, t.sums))
-        + sum(map(len, t.pairs))
-        + len(t.columns)
         + len(t.exceptional)
         + len(t.paths)
         + sum(len(pushed) for *_, pushed in t.__dict__.get("contractible", ()))
         for t in _class_tables.values()
     )
-    # 12,843: the de-augmentation body keeps no pushdown memo (it held
-    # 1,111 entries), and certify_full interns a twisted entry directly,
-    # where it stored 90 sums of an entry and a multiple d D_ray
-    assert _ClassTable.entries == stored == 12843
+    # 11,051: the Weyl group's validation keeps no pairing table (it held
+    # 1,736 pairings) and interns no columns (56), and certify_full's
+    # validation reads no stored pairing
+    assert _ClassTable.entries == stored == 11051
     _clear_class_tables()
-    assert _memo_info("pairs") == (0, 0, 0)
+    assert _memo_info("paths") == _memo_info("exceptional") == (0, 0, 0)
     assert _ClassTable.entries == 0
 
 
@@ -444,10 +435,9 @@ def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     assert Counter(len(c.twists) for c in certs if c.verdict == "full") == {1: 480, 2: 48, 3: 8}
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
-    # without the cap the census leaves 12,843 entries; with it, the tables
+    # without the cap the census leaves 11,051 entries; with it, the tables
     # are dropped before most of the 3,872 internings (_system_ids calls
-    # and certify_full's validations), and before many of the Isometry
-    # validations
+    # and certify_full's validations)
     assert len(clears) > 1000
     assert all(entries > 50 for entries in clears)
 
@@ -804,23 +794,26 @@ def test_search_path_validates_only_its_input_from_either_cache(monkeypatch, cac
     test_search_path_validates_only_its_input(monkeypatch)
 
 
-def test_orbit_report_builds_no_isometry(monkeypatch):
+def test_orbit_report_validates_only_the_reflections(monkeypatch):
     # weyl_orbit reflects the standard system's entries directly, so the
-    # classification layer never forms or validates a Weyl group matrix
-    from torsys.isometry import Isometry
+    # classification layer never forms a Weyl group matrix: the only
+    # matrices it validates are the 10 distinct reflections, once each
+    from torsys.isometry import Isometry, reflection, roots
 
     built = []
-    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(self))
-    rep = orbit_report(rank5.surface())
+    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(self.matrix))
+    x = rank5.surface()
+    rep = orbit_report(x)
     assert rep.total == 120
-    assert built == []
+    assert len(built) == len(set(built)) == 10
+    assert set(built) == {reflection(r).matrix for r in roots(x)}
 
 
 _TAMPER_SCRIPT = r"""
 import dataclasses, io, json, sys
 from contextlib import redirect_stdout
 
-import torsys.classify
+import torsys.cli
 from torsys import from_selfints
 from torsys.classify import InvalidWitness, is_constructible
 from torsys.cli import main
@@ -842,7 +835,7 @@ except InvalidWitness:
     print("replay rejected")
 
 # the CLI refuses a witness that replays to another system
-torsys.classify.is_constructible = lambda system: witness
+torsys.cli.is_constructible = lambda system: witness
 rotated = std.rotate(1)
 blob = json.dumps({"surface": list(x.selfints),
                    "entries": [list(a.coeffs) for a in rotated.entries]})
@@ -852,7 +845,6 @@ print("cli exit", code)
 
 # certify-full replays its certificate: the genuine one passes, and forged
 # cases, a forged final sequence and a witness for another system exit 2
-import torsys.cli
 from torsys.classify import TwistApplication, certify_full, orbit_report
 from torsys.systems import to_sequence
 

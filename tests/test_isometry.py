@@ -197,14 +197,17 @@ def test_twist_class_is_weyl_reflection():
 
 
 @pytest.mark.parametrize(
-    "selfints,order",
-    [(RANK3, 2), (RANK4, 12), (rank5.SELFINTS, 120), (RANK6, 1920)],
+    "selfints,order,reflections",
+    [(RANK3, 2, 1), (RANK4, 12, 4), (rank5.SELFINTS, 120, 10), (RANK6, 1920, 20)],
     ids=["rank3", "rank4", "rank5", "rank6"],
 )
-def test_weyl_group_validates_each_element_once(monkeypatch, selfints, order):
+def test_weyl_group_validates_each_reflection_once(monkeypatch, selfints, order, reflections):
+    # weyl_group passes each distinct reflection through the Isometry
+    # constructor once and builds its products unchecked; every product
+    # passes the constructor all the same
     import hashlib
 
-    from torsys.isometry import Isometry
+    from torsys.isometry import Isometry, reflection, roots
 
     built = []
     validate = Isometry.__post_init__
@@ -213,11 +216,19 @@ def test_weyl_group_validates_each_element_once(monkeypatch, selfints, order):
         built.append(self.matrix)
         validate(self)
 
+    x = from_selfints(selfints)
     monkeypatch.setattr(Isometry, "__post_init__", counting)
-    w = weyl_group(from_selfints(selfints))
+    w = weyl_group(x)
     assert len(w) == order
-    assert len(built) == len(w)
-    assert set(built) == {g.matrix for g in w}
+    assert len(built) == len(roots(x)) // 2 == reflections
+    built.clear()
+    assert {reflection(r).matrix for r in roots(x)} == set(built)
+    assert len(set(built)) == reflections
+    built.clear()
+    for g in w:
+        assert Isometry(x, g.matrix) == g
+        assert g._columns == tuple(zip(*g.matrix))
+    assert len(built) == order
     digest = hashlib.sha256(repr([g.matrix for g in w]).encode()).hexdigest()
     assert digest == WEYL_DIGESTS[selfints]
 
@@ -431,7 +442,7 @@ for m in ({ONE_OFF_DIAGONAL!r}, {ONE_DIAGONAL!r}, minus, ((1, 0, 0, 0, 0),) * 4)
         print("accepted")
     except ValueError as exc:
         print(exc)
-# every pairing of these columns is in the pairing table, in the wrong order
+# the columns of a group element, in the wrong order
 x = from_selfints({RANK6!r})
 m = weyl_group(x)[1000].matrix
 try:
@@ -460,16 +471,21 @@ def test_isometry_rejects_one_broken_pairing_a_moved_k_and_a_bad_shape():
 
 
 def test_isometry_keeps_non_integer_columns_out_of_the_class_table():
-    # columns are interned in the surface's class table, which holds ints
-    # only: a new column with a float is refused before it is stored
+    # a float entry is refused, from cold class tables and after weyl_group
+    # has met every column of the identity: 1.0 hashes and compares equal
+    # to 1, so a check on new columns only let a float identity through
     from torsys.systems import _class_table, _clear_class_tables
 
     _clear_class_tables()
-    x = from_selfints(RANK4)
-    m = tuple(tuple(float(v) for v in row) for row in _intlinalg.identity(x.pic_rank))
-    with pytest.raises(ValueError, match="must be integers"):
-        Isometry(x, m)
-    assert _class_table(x.selfints).classes == []
+    for selfints in (RANK4, RANK6):
+        x = from_selfints(selfints)
+        m = tuple(tuple(float(v) for v in row) for row in _intlinalg.identity(x.pic_rank))
+        with pytest.raises(ValueError, match="must be integers"):
+            Isometry(x, m)
+        assert _class_table(x.selfints).classes == []
+        weyl_group(x)
+        with pytest.raises(ValueError, match="must be integers"):
+            Isometry(x, m)
 
 
 def test_isometry_rejections_hold_under_optimize():
@@ -501,52 +517,31 @@ def test_isometry_rejections_hold_under_optimize():
 
 def test_isometry_rejects_known_columns_in_the_wrong_order():
     # the columns of a rank-6 Weyl element with the first two exchanged:
-    # every pairing of two of them is already in the pairing table, and
-    # the stored values are compared with G entry by entry all the same
-    from torsys.systems import _class_table
-
+    # every column is one of the group's, and the pairings are compared
+    # with G entry by entry all the same
     x = from_selfints(RANK6)
     w = weyl_group(x)[1000]
     m = _swapped_columns(w.matrix)
     assert _broken_pairings(x, m)
-    table = _class_table(x.selfints)
-    ids = [table.ids[(0, 0) + c] for c in zip(*m)]
-    assert all(b in table.pairs[a] for a in ids for b in ids)
     with pytest.raises(ValueError, match="intersection pairing"):
         Isometry(x, m)
     Isometry(x, w.matrix)
 
 
-def test_isometries_read_pairings_the_class_table_computes():
-    # Isometry reads c_a . G c_b from the pairing table of the surface's
-    # class table, on the interned columns (0, 0) + c: from cold tables, the
-    # group's 56 distinct columns meet in 896 distinct pairs within a
-    # matrix, each computed once and stored in both rows, and each value is
-    # c_a^T G c_b
-    from torsys.surface import ToricSurface
-    from torsys.systems import _class_tables, _clear_class_tables, _memo_info
+def test_weyl_group_and_isometry_leave_the_class_tables_empty():
+    # the Weyl layer reads no class table: building the rank-6 group,
+    # validating each of its elements again and the exhaustive search
+    # intern nothing and create no table
+    from torsys.systems import _class_tables, _ClassTable, _clear_class_tables
 
-    group = weyl_group(from_selfints(RANK6))
     _clear_class_tables()
-    fresh = ToricSurface(RANK6)
+    x = from_selfints(RANK6)
+    group = weyl_group(x)
     for g in group:
-        Isometry(fresh, g.matrix)
-    columns = {c for g in group for c in zip(*g.matrix)}
-    assert len(columns) == 56
-    (table,) = _class_tables.values()
-    assert {c[2:] for c in table.classes} == columns
-    assert all(c[:2] == (0, 0) for c in table.classes)
-    met = {frozenset((a, b)) for g in group for a in zip(*g.matrix) for b in zip(*g.matrix)}
-    info = _memo_info("pairs")
-    assert info.misses == len(met) == 896
-    assert info.currsize == 2 * 896 - 56
-    assert info.hits + info.misses == len(group) * 21
-    gram = fresh.gram_matrix()
-    for a, row in enumerate(table.pairs):
-        for b, value in row.items():
-            ca, cb = table.classes[a][2:], table.classes[b][2:]
-            assert frozenset((ca, cb)) in met
-            assert value == sum(map(mul, ca, _intlinalg.mat_vec(gram, cb)))
+        Isometry(x, g.matrix)
+    all_k_isometries(rank5.surface())
+    assert _class_tables == {}
+    assert _ClassTable.entries == 0
 
 
 def _reference_orbit(system, isometries):

@@ -83,6 +83,22 @@ def test_classify_imports_only_weyl_orbit_from_isometry():
     assert sorted(imported) == ["RankOutOfRange", "weyl_orbit"]
 
 
+def test_isometry_reads_no_class_table():
+    # weyl_group's products are K-isometries by construction and Isometry
+    # validates by its own formula: isometry.py may not import or name the
+    # class tables of systems.py
+    path = pathlib.Path(torsys.__file__).parent / "isometry.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert named & {"_capped_table", "_class_table", "_class_tables", "_ClassTable"} == set()
+
+
 def test_cohomology_oracle_and_fast_path_share_no_code():
     # the brute-force oracle cross-checks the fast path, so neither side may
     # call or name a function of the other

@@ -54,7 +54,8 @@ def test_validate_errors():
 
 def _reference_check_axioms(x, coeffs):
     """The validation body without the class tables: every A_i . A_j by the
-    intersection formula on the coefficient tuples as given."""
+    intersection formula on the coefficient tuples as given, and nothing
+    interned."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
@@ -68,6 +69,26 @@ def _reference_check_axioms(x, coeffs):
     total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
     if total != x.reduce_coeffs((1,) * n):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
+
+
+def test_rejected_input_interns_nothing():
+    # _check_axioms interns the entries only once every axiom has passed,
+    # so a rejected system leaves no class behind to count toward the cap
+    from torsys.systems import _class_tables, _ClassTable, _clear_class_tables
+
+    x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+    d = [x.divisor(i) for i in range(x.n)]
+    for entries, error in (
+        ([d[1], d[0]] + d[2:], BadIntersection),
+        ([-1 * a for a in d], BadCanonicalSum),
+    ):
+        _clear_class_tables()
+        with pytest.raises(error):
+            ToricSystem.validate(x, entries)
+        assert _ClassTable.entries == 0
+        assert all(t.classes == [] for t in _class_tables.values())
+    standard_system(x)
+    assert _ClassTable.entries == len(_class_tables[x.selfints].classes) == x.n
 
 
 def _axioms_outcome(check, x, coeffs):
@@ -109,10 +130,10 @@ def _axiom_perturbations(x, coeffs, rng):
     "selfints,step", [(rank5.SELFINTS, 1), ((-2, -1, -2, -1, -2, -1, -2, -1), 16)], ids=["rank5", "rank6"]
 )
 def test_table_validation_equals_the_formula_reference(selfints, step):
-    # _check_axioms reads A_i . A_j from the class table's pairing table on
-    # reduced class ids; on seeded perturbations of orbit systems, from
-    # cold tables and again warm, it raises what the formula body raises,
-    # with the same (i, j, value), and passes what it passes
+    # _check_axioms interns the entries of the systems it passes; on seeded
+    # perturbations of orbit systems, from cold tables and again warm, it
+    # raises what the formula body raises, with the same (i, j, value), and
+    # passes what it passes
     from collections import Counter
 
     from torsys.isometry import weyl_orbit
