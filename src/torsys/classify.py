@@ -10,24 +10,21 @@ certificate records the twists plus a replayable de-augmentation witness.
 Every search, from :func:`is_constructible`, :func:`certify_full` and
 :func:`orbit_report`, runs through one kernel, :func:`_path`, on the class
 ids of the per-surface table (``_ClassTable`` in systems.py), which keeps
-the kernel's answers.  Twists are root reflections, so the twisted images of
-an orbit system lie in the same Weyl orbit, and a census searches each
-system once; the exceptionality test runs on the same class ids and keeps
-its verdicts in the same tables, so a census also tests each system once.
-Each public call interns its input once and runs both kernels on those
-ids: a system through ``_system_ids``, the sequence of :func:`certify_full`
-through its one validation, ``_check_axioms``.  The kernel returns moves
-only; :func:`_witness` rebuilds the witness from them on the caller's own
-coefficient tuples, so witnesses and certificates do not depend on the
-tables.  Every de-augmentation, in the kernel, in that rebuild and in the
-public ``deaugment``, runs through one body, ``_deaugment_coeffs`` in
-systems.py, a pure function that keeps no memo.  The twist search of
+the answers of the kernel and of the exceptionality test, so a census tests
+and searches each Weyl-orbit system once (twists are root reflections, so
+twisted images stay in the orbit).  Each public call interns its input once,
+through ``_entry_ids``; validation (``_check_axioms``) interns nothing.  The
+kernel returns moves only; :func:`_witness` rebuilds the witness from them
+on the caller's own coefficient tuples, so witnesses and certificates do not
+depend on the tables.  Every de-augmentation runs through one pure body,
+``_deaugment_coeffs`` in systems.py.  The twist search of
 :func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
 classes and systems are built only for what a caller receives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -46,6 +43,7 @@ from .systems import (
     _check_axioms,
     _ClassTable,
     _deaugment_coeffs,
+    _entry_ids,
     _is_exceptional_ids,
     _sequence_coeffs,
     _system_ids,
@@ -267,20 +265,19 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     ``max_depth`` were left untwisted, or "twist closure exhausted at depth
     d" when no twist gives a new sequence beyond depth d, so the search ends
     there whatever ``max_depth`` is.
-    The search runs on the coefficient tuples of toric systems: the input
-    becomes the tuples of ``from_sequence``, through the same code, and one
-    validation, ``_check_axioms``, checks them by the intersection formula
-    and, once they pass, gives their class ids, so no class or system is
-    built for the input and a rejected one interns nothing.  :func:`_twist`
-    twists tuples, and images are told apart by the class ids of their
-    entries, on which both kernels run: an entry the twist leaves keeps its
-    id, and a moved one is reduced and interned.  Only the certified image
-    becomes a ``ToricSystem`` again, converted back by :func:`to_sequence`.
-    The bundle-level twist, ``torsys.twist.twist_sequence``, is what
-    certificates replay against.
+    The search runs on coefficient tuples: the input becomes those of
+    ``from_sequence``, which ``_check_axioms`` validates once before
+    ``_entry_ids`` interns them, so no class or system is built for it.
+    :func:`_twist` twists tuples, and images are told apart by the class ids
+    of their entries, on which both kernels run: an entry the twist leaves
+    keeps its id, and a moved one is reduced and interned.  Only the
+    certified image becomes a ``ToricSystem`` again, converted back by
+    :func:`to_sequence`.  Certificates replay against the bundle-level
+    twist, ``torsys.twist.twist_sequence``.
     """
     x, coeffs = _sequence_coeffs(seq)
-    table, ids = _check_axioms(x, coeffs)
+    _check_axioms(x, coeffs)
+    table, ids = _entry_ids(x, (x.reduce_coeffs(c) for c in coeffs))
     if not _is_exceptional_ids(table, ids):
         raise NotExceptionalInput("fullness certification needs an exceptional sequence")
     found = _path(table, ids)
@@ -380,10 +377,11 @@ class OrbitReport:
 def orbit_report(x: ToricSurface) -> OrbitReport:
     """Classify every system of :func:`weyl_orbit`, the Weyl orbit of the
     standard system; non-constructible ones are paired up under fan
-    automorphisms, whose images are built unchecked: a fan automorphism's
-    pullback preserves the pairing and K.  Each pair (i, j) records the first
-    non-identity automorphism, in :meth:`fan_automorphisms` order, that maps
-    system i to system j; pairs are listed by i, then j."""
+    automorphisms.  Each pair (i, j), i != j, records the first automorphism,
+    in :meth:`fan_automorphisms` order, that maps system i to system j,
+    listed by i, then j.  Each distinct entry class is mapped once per
+    automorphism, and an image is looked up by its entries, never built as
+    a system; the identity maps each system to itself and pairs nothing."""
     if not 3 <= x.pic_rank <= 6:
         raise RankOutOfRange(
             f"orbit reports support Picard rank 3..6, got {x.pic_rank}"
@@ -396,22 +394,19 @@ def orbit_report(x: ToricSurface) -> OrbitReport:
             exceptional += 1
             if _path(table, ids) is None:
                 nonconstructible.append(s)
-    index = {s.key(): j for j, s in enumerate(nonconstructible)}
-    pairing = []
-    autos = [f for f in x.fan_automorphisms() if not f.is_identity()]
-    for i, a in enumerate(nonconstructible):
-        first: dict[int, FanAutomorphism] = {}
-        for f in autos:
-            image = ToricSystem(x, tuple(f.apply(e) for e in a.entries))
-            j = index.get(image.key())
+    index = {s.entries: j for j, s in enumerate(nonconstructible)}
+    first: dict[tuple[int, int], FanAutomorphism] = {}
+    for f in x.fan_automorphisms():
+        image = functools.cache(f.apply)
+        for i, s in enumerate(nonconstructible):
+            j = index.get(tuple(map(image, s.entries)))
             if j is not None and j != i:
-                first.setdefault(j, f)
-        pairing.extend((i, j, first[j]) for j in sorted(first))
+                first.setdefault((i, j), f)
     return OrbitReport(
         surface=x,
         total=len(systems),
         exceptional_count=exceptional,
         constructible_count=exceptional - len(nonconstructible),
         nonconstructible=tuple(nonconstructible),
-        automorphism_pairing=tuple(pairing),
+        automorphism_pairing=tuple((i, j, first[i, j]) for i, j in sorted(first)),
     )

@@ -41,12 +41,15 @@ RANK5_SELFINTS = (-2, -1, -1, -1, -1, -2, -1)
 
 
 def _load_json_arg(text: str):
-    """Inline JSON, or a path to a JSON file."""
+    """Inline JSON, or a path to a JSON file; too deep a nesting is a ValueError."""
     text = text.strip()
-    if text.startswith(("[", "{")):
-        return json.loads(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith(("[", "{")):
+            return json.loads(text)
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("the JSON input is nested too deeply") from None
 
 
 # ------------------------------------------------------------- text rendering

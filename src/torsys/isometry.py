@@ -2,18 +2,15 @@
 the Weyl orbit of the standard system, and an independent brute-force
 enumeration of all pairing-and-K-preserving integer automorphisms.
 
-For Picard rank 3 <= rho <= 9 the K-isometries form the finite Weyl group of
-the root set {D : D^2 = -2, D.K = 0}.  Roots are enumerated from the defining
-equations in a good basis, where K = -3H + R_1 + ... + R_l pins the linear
-constraint 3 d_0 = -sum d_i and the quadric gives sum d_i^2 = d_0^2 + 2.
-One reflection BFS moves the Pic basis for :func:`weyl_group` (products of
-validated reflections) and the standard system's entries for
-:func:`weyl_orbit` (no matrix).  It keys each element by its pairings with
-the roots, packed into one int, so a product with a reflection is one shift,
-mask, multiply and add, and it reflects each distinct vector once per
-reflection, through id tables.  :class:`Isometry` validates a matrix by the
-pairing formula and keeps its columns, from which :func:`orbit` builds
-images; it reads no class table.
+For Picard rank 3 <= rho <= 9 the K-isometries form the finite Weyl group
+W(E_{rho-1}) of the root set {D : D^2 = -2, D.K = 0}.  Roots are enumerated
+from the defining equations in a good basis, where K = -3H + R_1 + ... + R_l
+pins the linear constraint 3 d_0 = -sum d_i and the quadric gives
+sum d_i^2 = d_0^2 + 2.  One reflection BFS, keyed by the pairings with the
+roots packed into one int, moves the Pic basis for :func:`weyl_group` and
+the standard system's entries for :func:`weyl_orbit` (no matrix).
+:class:`Isometry` validates a matrix by the pairing formula and keeps its
+columns, from which :func:`orbit` builds images; it reads no class table.
 """
 
 from __future__ import annotations
@@ -27,8 +24,10 @@ from . import _intlinalg
 from .surface import DivisorClass, ToricSurface
 from .systems import ToricSystem, standard_system
 
-# |W(E7)| is about 2.9 million, so Picard rank 8 is refused
+# |W(E7)| is about 2.9 million, so Picard rank 8 is refused up front
 WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
+# |W(E_{rho-1})| by Picard rank rho; see _reflection_closure
+_WEYL_ORDERS = {3: 2, 4: 12, 5: 120, 6: 1920, 7: 51840, 8: 2903040, 9: 696729600}
 
 
 class RankOutOfRange(ValueError):
@@ -191,6 +190,13 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     element w, identity first, its key and the images w(u) of the ``start``
     coordinate vectors.
 
+    W is W(E_{rho-1}), of known order, so a group over WEYL_MAX_ELEMENTS is
+    refused before the closure starts (the loop checks the cap too): the
+    surface is P^2 blown up in rho - 1 points, possibly infinitely near, so
+    Pic has a basis H, E_1, ..., E_{rho-1} with K = -3H + E_1 + ... +
+    E_{rho-1}, in which K^perp is the E_{rho-1} lattice and its (-2)-classes
+    are the roots (Manin, "Cubic forms", 1974).
+
     Each distinct reflection is checked once, by the :class:`Isometry`
     constructor, as :func:`reflection` builds it: the matrix I + r (G r)^T.
     The closure applies exactly u -> u + (r.u) r, which is that matrix, so
@@ -242,6 +248,8 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     """
     if not 3 <= x.pic_rank <= 9:
         raise RankOutOfRange(f"Weyl groups require 3 <= rho <= 9, got {x.pic_rank}")
+    if _WEYL_ORDERS[x.pic_rank] > WEYL_MAX_ELEMENTS:
+        raise SizeCapExceeded(f"|W| = {_WEYL_ORDERS[x.pic_rank]} exceeds {WEYL_MAX_ELEMENTS}")
     gram = x.gram_matrix()
     # r and -r give the same reflection; keep the first of each pair, with
     # r.u = (G r)^T u as G is symmetric

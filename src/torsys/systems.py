@@ -149,18 +149,13 @@ def standard_system(x: ToricSurface) -> ToricSystem:
     return ToricSystem.validate(x, tuple(x.divisor(i) for i in range(x.n)))
 
 
-def _check_axioms(
-    x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]
-) -> tuple[_ClassTable, tuple[int, ...]]:
+def _check_axioms(x: ToricSurface, coeffs: tuple[tuple[int, ...], ...]) -> None:
     """The toric-system axioms on the entries' coefficient tuples: n entries,
     A_i . A_j = 1 for cyclic neighbours and 0 otherwise (by the intersection
     formula of :func:`_divisor_pairings`), and sum A_i = -K = (1, ..., 1)
     modulo relations.  The one validation body, for
     :meth:`ToricSystem.validate`, :func:`from_sequence` and
-    ``torsys.classify.certify_full``.  Once every axiom has passed, and not
-    before, the entries are interned: returns the class table, from
-    :func:`_capped_table`, and the ids of the entries, so a caller that
-    runs the kernels on them interns its input once."""
+    ``torsys.classify.certify_full``; a pure check, it interns nothing."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
@@ -174,8 +169,6 @@ def _check_axioms(
     total = x.reduce_coeffs(tuple(map(sum, zip(*coeffs))))
     if total != x.reduce_coeffs((1,) * n):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
-    table = _capped_table(x)
-    return table, tuple(table.intern(x.reduce_coeffs(c)) for c in coeffs)
 
 
 def from_sequence(seq) -> ToricSystem:
@@ -336,8 +329,8 @@ def is_exceptional(system: ToricSystem) -> bool:
 
 CLASS_TABLE_CAP = 200_000
 """The most entries (classes, sums and the entries of the id-keyed memos,
-over all class tables) kept from one top-level call (see
-:func:`_capped_table`) to the next; the library's only memo cap."""
+over all class tables) kept from one top-level call, an entry through
+:func:`_entry_ids`, to the next; the library's only memo cap."""
 
 
 class _ClassTable:
@@ -352,10 +345,10 @@ class _ClassTable:
     maps (id, id) to the id of the sum.  The id-keyed memos of
     :func:`_is_exceptional_ids` and of the de-augmentation search
     (``torsys.classify._path``, with its pushdowns per ray in
-    ``contractible``) live here too, each with its hits and misses.  Every
-    stored entry counts toward ``CLASS_TABLE_CAP``, and
-    :func:`_clear_class_tables` drops them all together with the ids they
-    are keyed on."""
+    ``contractible``) live here too, each with its hits and misses.  Only
+    :func:`_entry_ids` enters the tables at top level; validation interns
+    nothing.  Every stored entry counts toward ``CLASS_TABLE_CAP``, and
+    :func:`_clear_class_tables` drops them all with the ids they key on."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -461,27 +454,26 @@ def _memo_info(memo: str) -> _MemoInfo:
     )
 
 
-def _capped_table(x: ToricSurface) -> _ClassTable:
-    """The class table of ``x``'s presentation, for a top-level call
-    (:func:`_system_ids` and :func:`_check_axioms`):
-    when the tables hold more than CLASS_TABLE_CAP entries it drops them all
-    first, so one call may take them past the cap until the next.  No search
-    comes back here, and ids are only ever read with the table object that
-    issued them, which a search reaches through its caller's table
+def _entry_ids(x: ToricSurface, reduced) -> tuple[_ClassTable, tuple[int, ...]]:
+    """The class table of ``x``'s presentation and the ids of the reduced
+    coefficient tuples ``reduced``: the one door by which a top-level call,
+    :func:`_system_ids` or ``torsys.classify.certify_full``, enters the
+    tables.  Over CLASS_TABLE_CAP entries it first drops them all, so one
+    call may take them past the cap until the next.  No search comes back
+    here, and ids are only ever read with the table object that issued them,
+    which a search reaches through its caller's table
     (``_ClassTable.contractible``), so no id an outer frame holds can point
     into a newer table."""
     if _ClassTable.entries > CLASS_TABLE_CAP:
         _clear_class_tables()
-    return _class_table(x.selfints)
+    table = _class_table(x.selfints)
+    return table, tuple(map(table.intern, reduced))
 
 
 def _system_ids(system: ToricSystem) -> tuple[_ClassTable, tuple[int, ...]]:
-    """The table of ``system``'s surface and the ids of its entries, for the
-    public calls of the two kernels on a system; the table comes from
-    :func:`_capped_table`, before anything is interned.  ``certify_full``,
-    which starts from a sequence, takes both from :func:`_check_axioms`."""
-    table = _capped_table(system.surface)
-    return table, tuple(table.intern(a.reduced()) for a in system.entries)
+    """The table and the entry ids of ``system``, through :func:`_entry_ids`,
+    for the public calls of the two kernels on a system."""
+    return _entry_ids(system.surface, (a.reduced() for a in system.entries))
 
 
 def _is_exceptional_ids(table: _ClassTable, ids: tuple[int, ...]) -> bool:

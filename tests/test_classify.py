@@ -329,27 +329,28 @@ def _count_calls(monkeypatch, modules, name):
 def test_each_public_call_interns_its_input_once(monkeypatch):
     # is_exceptional, is_constructible and certify_full intern their input
     # once each, and orbit_report interns each orbit system once for both
-    # kernels; a search reaches the tables below through its caller's table.
-    # certify_full takes its ids from its one validation, _check_axioms,
-    # and makes no _system_ids call
+    # kernels, all through the one door _entry_ids; a search reaches the
+    # tables below through its caller's table.  certify_full validates its
+    # input once, with _check_axioms, which interns nothing, and then enters
+    # the tables
     import torsys.classify
     import torsys.systems
 
-    interned = _count_calls(monkeypatch, [torsys.systems, torsys.classify], "_system_ids")
+    entered = _count_calls(monkeypatch, [torsys.systems, torsys.classify], "_entry_ids")
     validated = _count_calls(monkeypatch, [torsys.classify], "_check_axioms")
     x = from_selfints(RANK6)
     systems = orbit(standard_system(x), weyl_group(x))
     exceptional = [s for s in systems if is_exceptional(s)]
     nonconstructible = [s for s in exceptional if is_constructible(s) is None]
-    assert (len(interned), len(validated)) == (1920 + 1416, 0)
+    assert (len(entered), len(validated)) == (1920 + 1416, 0)
     for s in nonconstructible:
         certify_full(to_sequence(s), max_depth=3)
-    assert (len(interned), len(validated)) == (1920 + 1416, 536)
-    assert len(interned) + len(validated) == 1920 + 1416 + 536 == 3872
-    interned.clear()
+    assert (len(entered), len(validated)) == (1920 + 1416 + 536, 536)
+    assert len(entered) == 3872
+    entered.clear()
     rep = orbit_report(rank5.surface())
     assert (rep.total, rep.exceptional_count, rep.constructible_count) == (120, 98, 96)
-    assert len(interned) == 120
+    assert len(entered) == 120
 
 
 def test_census_asks_each_class_once(monkeypatch):
@@ -405,10 +406,10 @@ def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
 
 
 def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
-    # the tables and their memos are dropped at top-level entries only,
-    # whenever they hold more than the cap; ids held by an outer frame of a
-    # search (certify_full's seen-set among them) never go stale, so a
-    # census that keeps dropping them gives the same answers
+    # the tables and their memos are dropped only in _entry_ids, the one
+    # top-level door, whenever they hold more than the cap; ids held by an
+    # outer frame of a search (certify_full's seen-set among them) never go
+    # stale, so a census that keeps dropping them gives the same answers
     import hashlib
     import json
     from collections import Counter
@@ -436,8 +437,8 @@ def test_rank6_census_under_a_tiny_class_table_cap(monkeypatch):
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
     # without the cap the census leaves 11,051 entries; with it, the tables
-    # are dropped before most of the 3,872 internings (_system_ids calls
-    # and certify_full's validations)
+    # are dropped before most of the 3,872 entries into them (_entry_ids
+    # calls, from _system_ids and from certify_full after its validation)
     assert len(clears) > 1000
     assert all(entries > 50 for entries in clears)
 
@@ -751,8 +752,10 @@ def _quadratic_pairing(x, nonconstructible):
     return pairing
 
 
-def test_orbit_report_pairing_equals_the_quadratic_scan():
+def test_orbit_report_pairing_equals_the_quadratic_scan(monkeypatch):
     from test_acceptance import _enumerate_blowups
+
+    from torsys.surface import FanAutomorphism
 
     pool = [s for s in _enumerate_blowups(7) if s.pic_rank == 5]
     paired = 0
@@ -762,6 +765,17 @@ def test_orbit_report_pairing_equals_the_quadratic_scan():
         assert list(rep.automorphism_pairing) == want, x.selfints
         paired += len(want)
     assert paired > 0
+    # at rank 6 the pairing maps each of the 51 distinct entry classes of
+    # the 536 non-constructible systems once per automorphism (8 with the
+    # identity), not every entry of every system
+    calls = []
+    apply = FanAutomorphism.apply
+    monkeypatch.setattr(FanAutomorphism, "apply", lambda f, c: calls.append(c) or apply(f, c))
+    x = from_selfints(RANK6)
+    rep = orbit_report(x)
+    assert (len(rep.nonconstructible), len(x.fan_automorphisms())) == (536, 8)
+    assert len({c for s in rep.nonconstructible for c in s.entries}) == 51
+    assert len(calls) == 408
 
 
 def test_search_path_validates_only_its_input(monkeypatch):

@@ -26,11 +26,19 @@ def test_surface_command(capsys):
     assert data["minus_two_rays"] == [0, 5]
 
 
-def test_surface_command_bad_input(capsys):
+def test_surface_command_bad_input(capsys, tmp_path):
     code = main(["surface", "--surface", "[0,0,0]"])
     assert code == 2
     code = main(["surface", "--surface", "not json at all ["])
     assert code == 2
+    # json raises RecursionError past the interpreter's recursion limit, and
+    # the reader turns it into an input error, inline and from a file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    capsys.readouterr()
+    for text in (deep.read_text(), str(deep)):
+        assert main(["surface", "--surface", text]) == 2
+        assert capsys.readouterr().err == "error: ValueError('the JSON input is nested too deeply')\n"
 
 
 def test_cohomology_command(capsys):
@@ -151,10 +159,16 @@ def test_reproduce_paper(capsys):
 
 
 def test_reproduce_paper_deterministic(capsys):
+    import hashlib
+
     code1, out1 = run(capsys, "reproduce-paper")
     code2, out2 = run(capsys, "reproduce-paper")
     assert code1 == code2 == 0
     assert out1 == out2
+    # the text output is pinned as the JSON output is by the golden file
+    assert len(out1.encode()) == 1326
+    digest = "a6c25adc7565d3fa1509e7c956ee14fa67a0d91bc61502f6767f15d540f2bf0f"
+    assert hashlib.sha256(out1.encode()).hexdigest() == digest
 
 
 def test_reproduce_paper_matches_golden_file(capsys):
@@ -204,6 +218,23 @@ def test_flag_ranges_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["cohomology", "--surface", "[1,1,1]", "--class", "[1,0]"],
+         "ValueError('expected 3 coefficients, got 2')"),
+        (["certify-full", "--sequence", '{"surface": [1,1,1], "entries": []}'],
+         "BadLength('empty sequence')"),
+        (["certify-full", "--sequence", '{"surface": [1,1,1], "entries": [[0,0,0],[1,0,0]]}'],
+         "BadLength('expected 3 bundles, got 2')"),
+    ],
+    ids=["class-length", "empty-sequence", "sequence-length"],
+)
+def test_malformed_input_exits_2(capsys, argv, error):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def _blown_up_p2(n):

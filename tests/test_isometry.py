@@ -84,6 +84,34 @@ def test_size_caps(monkeypatch):
         all_k_isometries(x)
 
 
+def test_weyl_closure_refuses_rank8_before_it_starts(monkeypatch):
+    # |W(E_{rho-1})| is known before the closure, so rank 8 (|W(E7)| =
+    # 2,903,040 > WEYL_MAX_ELEMENTS) is refused before a root is enumerated;
+    # the table agrees with the closure at ranks 3..6, and the cap inside
+    # the loop still holds when the table is not what refuses
+    import torsys.isometry
+    from torsys.isometry import _WEYL_ORDERS, WEYL_MAX_ELEMENTS, SizeCapExceeded
+
+    for selfints in (RANK3, RANK4, rank5.SELFINTS, RANK6):
+        x = from_selfints(selfints)
+        assert len(weyl_orbit(x)) == _WEYL_ORDERS[x.pic_rank] <= WEYL_MAX_ELEMENTS
+
+    def no_roots(x):
+        raise AssertionError("roots enumerated")
+
+    monkeypatch.setattr(torsys.isometry, "roots", no_roots)
+    x = from_selfints((-2, -2, -1, -3, -1, -2, -2, -1, -3, -1))
+    assert x.pic_rank == 8
+    for closure in (weyl_orbit, weyl_group):
+        with pytest.raises(SizeCapExceeded, match="2903040"):
+            closure(x)
+    monkeypatch.undo()
+    monkeypatch.setattr(torsys.isometry, "WEYL_MAX_ELEMENTS", 10)
+    monkeypatch.setitem(_WEYL_ORDERS, 5, 1)
+    with pytest.raises(SizeCapExceeded, match="exceeded 10 elements$"):
+        weyl_group(from_selfints(rank5.SELFINTS))
+
+
 def test_reflection_properties():
     x = rank5.surface()
     rng = random.Random(9)

@@ -96,7 +96,7 @@ def test_isometry_reads_no_class_table():
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
-    assert named & {"_capped_table", "_class_table", "_class_tables", "_ClassTable"} == set()
+    assert named & {"_entry_ids", "_class_table", "_class_tables", "_ClassTable"} == set()
 
 
 def test_cohomology_oracle_and_fast_path_share_no_code():

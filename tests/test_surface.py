@@ -221,6 +221,21 @@ def test_blow_down_errors():
     assert rel.below.selfints == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda x: x.blow_up(7), "blow-up position 7 out of range"),
+        (lambda x: x.blow_up(-1), "blow-up position -1 out of range"),
+        (lambda x: x.class_from_coords((0, 0, 0, 0)), "expected 5 coordinates"),
+    ],
+    ids=["blow-up-high", "blow-up-low", "coords-length"],
+)
+def test_surface_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(rank5.surface())
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_pushdown_requires_orthogonality():
     x = from_selfints((1, 1, 1))
     rel = x.blow_up(0)

@@ -18,6 +18,7 @@ from torsys.systems import (
     classify_hirzebruch,
     deaugment,
     from_sequence,
+    hirzebruch_pq,
     hirzebruch_system,
     is_exceptional,
     standard_system,
@@ -53,9 +54,8 @@ def test_validate_errors():
 
 
 def _reference_check_axioms(x, coeffs):
-    """The validation body without the class tables: every A_i . A_j by the
-    intersection formula on the coefficient tuples as given, and nothing
-    interned."""
+    """An independent copy of the validation body: every A_i . A_j by the
+    intersection formula on the coefficient tuples as given."""
     n = x.n
     if len(coeffs) != n:
         raise BadLength(f"expected {n} entries, got {len(coeffs)}")
@@ -71,24 +71,40 @@ def _reference_check_axioms(x, coeffs):
         raise BadCanonicalSum(f"entries sum to {total}, not -K")
 
 
-def test_rejected_input_interns_nothing():
-    # _check_axioms interns the entries only once every axiom has passed,
-    # so a rejected system leaves no class behind to count toward the cap
+def test_validation_interns_nothing():
+    # _check_axioms is a pure check: validation, augmentation, the sequence
+    # round trip and every witness or certificate replay leave the class
+    # tables empty; only a kernel call enters them, through _entry_ids, and
+    # the first one interns the input's n entries first
+    from torsys.classify import certify_full, is_constructible
+    from torsys.schema import replay_certificate
     from torsys.systems import _class_tables, _ClassTable, _clear_class_tables
 
-    x = from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+    x = rank5.surface()
     d = [x.divisor(i) for i in range(x.n)]
+    witness = is_constructible(standard_system(x))
+    seq = rank5.printed_sequence()
+    cert = certify_full(seq, max_depth=1)
+    assert witness is not None and cert.verdict == "full"
+    _clear_class_tables()
     for entries, error in (
         ([d[1], d[0]] + d[2:], BadIntersection),
         ([-1 * a for a in d], BadCanonicalSum),
     ):
-        _clear_class_tables()
         with pytest.raises(error):
             ToricSystem.validate(x, entries)
-        assert _ClassTable.entries == 0
-        assert all(t.classes == [] for t in _class_tables.values())
-    standard_system(x)
-    assert _ClassTable.entries == len(_class_tables[x.selfints].classes) == x.n
+    s = ToricSystem.validate(x, d)
+    assert standard_system(x) == s
+    assert from_sequence(to_sequence(s)) == s
+    augment(s, 0, 0)
+    hirzebruch_system("A", 2, 1)
+    assert witness.replay() == s
+    replay_certificate(seq, cert)
+    assert _ClassTable.entries == 0
+    assert all(t.classes == [] for t in _class_tables.values())
+    assert is_exceptional(s)
+    table = _class_tables[x.selfints]
+    assert table.classes[: x.n] == [a.reduced() for a in s.entries]
 
 
 def _axioms_outcome(check, x, coeffs):
@@ -130,27 +146,27 @@ def _axiom_perturbations(x, coeffs, rng):
     "selfints,step", [(rank5.SELFINTS, 1), ((-2, -1, -2, -1, -2, -1, -2, -1), 16)], ids=["rank5", "rank6"]
 )
 def test_table_validation_equals_the_formula_reference(selfints, step):
-    # _check_axioms interns the entries of the systems it passes; on seeded
-    # perturbations of orbit systems, from cold tables and again warm, it
-    # raises what the formula body raises, with the same (i, j, value), and
-    # passes what it passes
+    # on seeded perturbations of orbit systems, _check_axioms raises what an
+    # independent copy of the formula body raises, with the same
+    # (i, j, value), and passes what it passes; it reaches no class table,
+    # so the tables stay empty
     from collections import Counter
 
     from torsys.isometry import weyl_orbit
-    from torsys.systems import _check_axioms, _clear_class_tables
+    from torsys.systems import _check_axioms, _ClassTable, _clear_class_tables
 
     x = from_selfints(selfints)
     systems = weyl_orbit(x)[::step]
     kinds = Counter()
-    for _ in range(2):
-        _clear_class_tables()
-        rng = random.Random(2024)
-        for s in systems:
-            for coeffs in _axiom_perturbations(x, tuple(a.coeffs for a in s.entries), rng):
-                want = _axioms_outcome(_reference_check_axioms, x, coeffs)
-                assert _axioms_outcome(_check_axioms, x, coeffs) == want
-                kinds[want and want[0]] += 1
+    _clear_class_tables()
+    rng = random.Random(2024)
+    for s in systems:
+        for coeffs in _axiom_perturbations(x, tuple(a.coeffs for a in s.entries), rng):
+            want = _axioms_outcome(_reference_check_axioms, x, coeffs)
+            assert _axioms_outcome(_check_axioms, x, coeffs) == want
+            kinds[want and want[0]] += 1
     assert set(kinds) == {None, BadLength, BadIntersection, BadCanonicalSum}
+    assert _ClassTable.entries == 0
 
 
 def test_hirzebruch_systems_validate():
@@ -417,6 +433,28 @@ def test_deaugment_errors():
         deaugment(s, 0, 0)  # ray 0 has self-intersection -2
     with pytest.raises(NotDeaugmentable):
         deaugment(s, 2, 1)  # entry 2 is not the class of ray 1
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: augment(standard_system(rank5.surface()), 0, 8), ValueError,
+         "insert position 8 out of range"),
+        (lambda: augment(standard_system(rank5.surface()), 0, -1), ValueError,
+         "insert position -1 out of range"),
+        (lambda: hirzebruch_system("Atilde", 1, 0), ValueError, "Atilde systems need even r"),
+        (lambda: hirzebruch_system("B", 0, 0), ValueError, "unknown kind 'B'"),
+        (lambda: hirzebruch_pq(rank5.surface()), BadLength,
+         "TV(-2, -1, -1, -1, -1, -2, -1) is not a Hirzebruch surface"),
+        (lambda: LineBundleSequence.of([]), BadLength, "empty sequence"),
+    ],
+    ids=["augment-high", "augment-low", "atilde-odd-r", "unknown-kind", "pq-not-4-rays",
+         "empty-sequence"],
+)
+def test_system_arguments_are_rejected(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_is_exceptional_examples():
