@@ -25,7 +25,6 @@ classes and systems are built only for what a caller receives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .isometry import RankOutOfRange, weyl_orbit
@@ -34,6 +33,8 @@ from .surface import (
     FanAutomorphism,
     InternalInconsistency,
     ToricSurface,
+    _Record,
+    _set,
 )
 from .systems import (
     HirzebruchSystemClass,
@@ -62,8 +63,7 @@ class InvalidWitness(ValueError):
     to what it claims."""
 
 
-@dataclass(frozen=True)
-class DeaugmentationStep:
+class DeaugmentationStep(_Record):
     """One reversed augmentation: on ``surface``, the entry at ``position``
     equals the class of the contractible ray ``ray``."""
 
@@ -71,13 +71,17 @@ class DeaugmentationStep:
     ray: int
     position: int
 
+    def __init__(self, surface: ToricSurface, ray: int, position: int):
+        _set(self, "surface", surface)
+        _set(self, "ray", ray)
+        _set(self, "position", position)
+
     @property
     def exceptional(self) -> DivisorClass:
         return self.surface.divisor(self.ray)
 
 
-@dataclass(frozen=True)
-class ConstructibilityWitness:
+class ConstructibilityWitness(_Record):
     """Machine-checkable witness: de-augmentation steps from the input system
     down to an exceptional Hirzebruch base system.  Replaying the augmentations
     in reverse reproduces the input exactly."""
@@ -85,6 +89,16 @@ class ConstructibilityWitness:
     base_system: ToricSystem
     base_class: HirzebruchSystemClass
     steps: tuple[DeaugmentationStep, ...]
+
+    def __init__(
+        self,
+        base_system: ToricSystem,
+        base_class: HirzebruchSystemClass,
+        steps: tuple[DeaugmentationStep, ...],
+    ):
+        _set(self, "base_system", base_system)
+        _set(self, "base_class", base_class)
+        _set(self, "steps", steps)
 
     def replay(self) -> ToricSystem:
         system = self.base_system
@@ -97,20 +111,22 @@ class ConstructibilityWitness:
         return system
 
 
-@dataclass(frozen=True)
-class TwistApplication:
+class TwistApplication(_Record):
     """A twist at one (-2)-ray together with the per-entry case record."""
 
     curve_ray: int
     cases: tuple[int, ...]
+
+    def __init__(self, curve_ray: int, cases: tuple[int, ...]):
+        _set(self, "curve_ray", curve_ray)
+        _set(self, "cases", cases)
 
     @property
     def applied_positions(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.cases) if c == 1)
 
 
-@dataclass(frozen=True)
-class FullnessCertificate:
+class FullnessCertificate(_Record):
     """Fullness verdict for a bundle sequence.
 
     verdict "full": ``twists`` applied in order map the sequence to one whose
@@ -123,7 +139,21 @@ class FullnessCertificate:
     twists: tuple[TwistApplication, ...]
     witness: ConstructibilityWitness | None
     final_sequence: LineBundleSequence | None
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        verdict: str,
+        twists: tuple[TwistApplication, ...],
+        witness: ConstructibilityWitness | None,
+        final_sequence: LineBundleSequence | None,
+        notes: tuple[str, ...] = (),
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "twists", twists)
+        _set(self, "witness", witness)
+        _set(self, "final_sequence", final_sequence)
+        _set(self, "notes", notes)
 
 
 def is_constructible(system: ToricSystem) -> ConstructibilityWitness | None:
@@ -362,8 +392,7 @@ def _twist(
     return image, cases
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(_Record):
     """Classification of the Weyl orbit of the standard toric system."""
 
     surface: ToricSurface
@@ -372,6 +401,22 @@ class OrbitReport:
     constructible_count: int
     nonconstructible: tuple[ToricSystem, ...]
     automorphism_pairing: tuple[tuple[int, int, FanAutomorphism], ...]
+
+    def __init__(
+        self,
+        surface: ToricSurface,
+        total: int,
+        exceptional_count: int,
+        constructible_count: int,
+        nonconstructible: tuple[ToricSystem, ...],
+        automorphism_pairing: tuple[tuple[int, int, FanAutomorphism], ...],
+    ):
+        _set(self, "surface", surface)
+        _set(self, "total", total)
+        _set(self, "exceptional_count", exceptional_count)
+        _set(self, "constructible_count", constructible_count)
+        _set(self, "nonconstructible", nonconstructible)
+        _set(self, "automorphism_pairing", automorphism_pairing)
 
 
 def orbit_report(x: ToricSurface) -> OrbitReport:

@@ -21,16 +21,18 @@ class, the answers that a census asks for again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .surface import DivisorClass, InternalInconsistency
+from .surface import DivisorClass, InternalInconsistency, _Record, _set
 
 
-@dataclass(frozen=True)
-class CohomologyDims:
+class CohomologyDims(_Record):
     h0: int
     h1: int
     h2: int
+
+    def __init__(self, h0: int, h1: int, h2: int):
+        _set(self, "h0", h0)
+        _set(self, "h1", h1)
+        _set(self, "h2", h2)
 
     def __iter__(self):
         return iter((self.h0, self.h1, self.h2))

@@ -16,12 +16,11 @@ columns, from which :func:`orbit` builds images; it reads no class table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
 from . import _intlinalg
-from .surface import DivisorClass, ToricSurface
+from .surface import DivisorClass, ToricSurface, _Record, _set
 from .systems import ToricSystem, standard_system
 
 # |W(E7)| is about 2.9 million, so Picard rank 8 is refused up front
@@ -38,19 +37,18 @@ class SizeCapExceeded(RuntimeError):
     """Group closure or search grew past its cap."""
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Record):
     """A (-2)-class orthogonal to K."""
 
     cls: DivisorClass
 
-    def __post_init__(self):
-        if self.cls.square() != -2 or self.cls.k_degree() != 0:
-            raise ValueError(f"{self.cls} is not a (-2)-class orthogonal to K")
+    def __init__(self, cls: DivisorClass):
+        if cls.square() != -2 or cls.k_degree() != 0:
+            raise ValueError(f"{cls} is not a (-2)-class orthogonal to K")
+        _set(self, "cls", cls)
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
+class Isometry(_Record):
     """An automorphism of Pic(X) preserving the pairing and fixing K, stored
     as a matrix on the coordinates in the basis ([D_3], ..., [D_n]).
 
@@ -68,7 +66,13 @@ class Isometry:
     surface: ToricSurface
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, surface: ToricSurface, matrix: tuple[tuple[int, ...], ...]):
+        _set(self, "surface", surface)
+        _set(self, "matrix", matrix)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the matrix as above and keep its columns."""
         x = self.surface
         g = x.gram_matrix()
         m = self.matrix
@@ -84,7 +88,7 @@ class Isometry:
         k = x.canonical_coords()
         if _intlinalg.mat_vec(m, k) != k:
             raise ValueError("matrix does not fix the canonical class")
-        object.__setattr__(self, "_columns", cols)
+        _set(self, "_columns", cols)
 
     @classmethod
     def _unchecked(cls, x: ToricSurface, columns, rows) -> "Isometry":
@@ -92,9 +96,9 @@ class Isometry:
         validation: for :func:`weyl_group` only, whose every element is a
         product of reflections the constructor checked."""
         w = object.__new__(cls)
-        object.__setattr__(w, "surface", x)
-        object.__setattr__(w, "matrix", rows)
-        object.__setattr__(w, "_columns", columns)
+        _set(w, "surface", x)
+        _set(w, "matrix", rows)
+        _set(w, "_columns", columns)
         return w
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
@@ -187,8 +191,8 @@ def reflection(root: Root) -> Isometry:
 
 def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     """Breadth-first closure of the root reflections: yields, for each
-    element w, identity first, its key and the images w(u) of the ``start``
-    coordinate vectors.
+    element w, identity first, the images w(u) of the ``start`` coordinate
+    vectors.
 
     W is W(E_{rho-1}), of known order, so a group over WEYL_MAX_ELEMENTS is
     refused before the closure starts (the loop checks the cap too): the
@@ -292,7 +296,7 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
 
     vector = vectors.__getitem__
     frontier = [(key, tuple(map(intern, start)))]
-    yield key, start
+    yield start
     while frontier:
         new = []
         for key, images in frontier:
@@ -306,7 +310,7 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
                 moved = tuple(
                     [perm[i] if i in perm else reflect(perm, rc, rg, i) for i in images]
                 )
-                yield product, tuple(map(vector, moved))
+                yield tuple(map(vector, moved))
                 new.append((product, moved))
         frontier = new
 
@@ -339,7 +343,7 @@ def weyl_group(x: ToricSurface) -> tuple[Isometry, ...]:
     images = _reflection_closure(x, _intlinalg.identity(x.pic_rank))
     return tuple(
         Isometry._unchecked(x, cols, tuple(rows.setdefault(r, r) for r in zip(*cols)))
-        for _, cols in images
+        for cols in images
     )
 
 
@@ -349,7 +353,7 @@ def weyl_orbit(x: ToricSurface) -> list[ToricSystem]:
     images = _reflection_closure(x, tuple(a.coords() for a in standard_system(x).entries))
     # one class per distinct image: the orbit repeats few classes many times
     classes = functools.cache(x.class_from_coords)
-    return [ToricSystem(x, tuple(map(classes, coords))) for _, coords in images]
+    return [ToricSystem(x, tuple(map(classes, coords))) for coords in images]
 
 
 def _regular_vector(pairings: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ Pic(X) has rank n - 2.  All arithmetic is exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import _intlinalg
@@ -46,6 +45,47 @@ class InternalInconsistency(RuntimeError):
 class EvenTerminalHirzebruch(ValueError):
     """No blow-down path ends on an odd Hirzebruch surface, so the intersection
     form has no integral orthogonal basis of signature (1, -1, ..., -1)."""
+
+
+# sets a field of a record, whose own __setattr__ refuses every assignment
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable value types.  A record annotates its fields, in
+    order, and its ``__init__`` sets each with ``_set``.  Assigning or
+    deleting an attribute raises AttributeError.  Two records are equal
+    when they are of the same class and their fields are equal, a record
+    hashes its fields, and it prints as ``Name(field=value, ...)``; a
+    subclass may define its own.  Records have no ``__slots__``, so a
+    ``cached_property`` works on them."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # the names the class itself annotates, in order
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def normalize(selfints) -> tuple[int, ...]:
@@ -398,8 +438,7 @@ def _good_basis_path(selfints: tuple[int, ...]) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class DivisorClass:
+class DivisorClass(_Record):
     """An element of Pic(X) given by integer coefficients on (D_1, ..., D_n).
 
     Equality and hashing reduce modulo the relation lattice, so different
@@ -410,6 +449,10 @@ class DivisorClass:
 
     surface: ToricSurface
     coeffs: tuple[int, ...]
+
+    def __init__(self, surface: ToricSurface, coeffs: tuple[int, ...]):
+        _set(self, "surface", surface)
+        _set(self, "coeffs", coeffs)
 
     @functools.cached_property
     def _reduced(self) -> tuple[int, ...]:
@@ -468,8 +511,7 @@ class DivisorClass:
         return f"DivisorClass{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class BlowupRelation:
+class BlowupRelation(_Record):
     """One toric blow-up ``above -> below`` with its maps on Pic.
 
     ``ray_index`` is the position of the exceptional ray in ``above``; the
@@ -482,6 +524,11 @@ class BlowupRelation:
     below: ToricSurface
     above: ToricSurface
     ray_index: int
+
+    def __init__(self, below: ToricSurface, above: ToricSurface, ray_index: int):
+        _set(self, "below", below)
+        _set(self, "above", above)
+        _set(self, "ray_index", ray_index)
 
     @property
     def exceptional_class(self) -> DivisorClass:
@@ -548,8 +595,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-@dataclass(frozen=True)
-class GoodBasis:
+class GoodBasis(_Record):
     """Basis (H, R_1, ..., R_l) of Pic(X) with Gram matrix diag(1, -1, ..., -1),
     obtained by pulling back the standard basis of an odd Hirzebruch surface
     along a blow-down path and appending the exceptional classes."""
@@ -558,6 +604,18 @@ class GoodBasis:
     elements: tuple[DivisorClass, ...]
     blowdown_path: tuple[int, ...]
     terminal: ToricSurface
+
+    def __init__(
+        self,
+        surface: ToricSurface,
+        elements: tuple[DivisorClass, ...],
+        blowdown_path: tuple[int, ...],
+        terminal: ToricSurface,
+    ):
+        _set(self, "surface", surface)
+        _set(self, "elements", elements)
+        _set(self, "blowdown_path", blowdown_path)
+        _set(self, "terminal", terminal)
 
     def _check(self) -> None:
         if len(self.elements) != self.surface.pic_rank:
@@ -574,14 +632,23 @@ class GoodBasis:
             raise InternalInconsistency("good basis does not span Pic over Z")
 
 
-@dataclass(frozen=True)
-class FanAutomorphism:
+class FanAutomorphism(_Record):
     """A lattice automorphism of the fan: a GL_2(Z) map together with the
     induced ray permutation (lattice_map sends v_i to v_{perm[i]})."""
 
     surface: ToricSurface
     lattice_map: tuple[Vec2, Vec2]
     ray_permutation: tuple[int, ...]
+
+    def __init__(
+        self,
+        surface: ToricSurface,
+        lattice_map: tuple[Vec2, Vec2],
+        ray_permutation: tuple[int, ...],
+    ):
+        _set(self, "surface", surface)
+        _set(self, "lattice_map", lattice_map)
+        _set(self, "ray_permutation", ray_permutation)
 
     def apply(self, cls: DivisorClass) -> DivisorClass:
         """Pullback on Pic: coefficient i of the image is coefficient perm[i]."""

@@ -11,9 +11,8 @@ blow-up by splitting one entry around the exceptional class.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul, sub
-from typing import NamedTuple
 
 from .cohomology import vanishes_totally
 from .surface import (
@@ -23,6 +22,8 @@ from .surface import (
     InvalidFan,
     ToricSurface,
     _divisor_pairings,
+    _Record,
+    _set,
     from_selfints,
 )
 
@@ -53,8 +54,7 @@ class Unclassifiable(RuntimeError):
     """A valid Hirzebruch toric system escaped the classification: a bug."""
 
 
-@dataclass(frozen=True)
-class ToricSystem:
+class ToricSystem(_Record):
     """A toric system.  :meth:`validate` checks the axioms on outside input
     and on augmentation, so witness replay re-validates every step.  Images
     that are valid by construction (rotations, mirrors, isometry and fan
@@ -63,6 +63,10 @@ class ToricSystem:
 
     surface: ToricSurface
     entries: tuple[DivisorClass, ...]
+
+    def __init__(self, surface: ToricSurface, entries: tuple[DivisorClass, ...]):
+        _set(self, "surface", surface)
+        _set(self, "entries", entries)
 
     @classmethod
     def validate(cls, surface: ToricSurface, entries) -> "ToricSystem":
@@ -108,13 +112,16 @@ class ToricSystem:
         return f"ToricSystem(on={self.surface}, squares={self.squares()})"
 
 
-@dataclass(frozen=True)
-class LineBundleSequence:
+class LineBundleSequence(_Record):
     """A length-n sequence of line-bundle classes (n = rank of K_0), normalized
     so the first entry is the trivial bundle."""
 
     surface: ToricSurface
     entries: tuple[DivisorClass, ...]
+
+    def __init__(self, surface: ToricSurface, entries: tuple[DivisorClass, ...]):
+        _set(self, "surface", surface)
+        _set(self, "entries", entries)
 
     @classmethod
     def of(cls, entries) -> "LineBundleSequence":
@@ -436,10 +443,7 @@ def _clear_class_tables() -> None:
     _ClassTable.entries = 0
 
 
-class _MemoInfo(NamedTuple):
-    hits: int
-    misses: int
-    currsize: int
+_MemoInfo = namedtuple("_MemoInfo", "hits misses currsize")
 
 
 def _memo_info(memo: str) -> _MemoInfo:
@@ -512,8 +516,7 @@ def _is_exceptional_ids(table: _ClassTable, ids: tuple[int, ...]) -> bool:
 # Hirzebruch surfaces ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HirzebruchSystemClass:
+class HirzebruchSystemClass(_Record):
     """Classification label of a toric system on a Hirzebruch surface F_r.
 
     kind "A": (P, iP + Q, P, -(r+i)P + Q); kind "Atilde" (r even, S = Q - r/2 P):
@@ -523,6 +526,11 @@ class HirzebruchSystemClass:
     kind: str
     r: int
     i: int
+
+    def __init__(self, kind: str, r: int, i: int):
+        _set(self, "kind", kind)
+        _set(self, "r", r)
+        _set(self, "i", i)
 
     def is_exceptional_class(self) -> bool:
         """Which labels carry exceptional systems: every A_{r,i}; Atilde for

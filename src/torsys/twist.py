@@ -12,9 +12,7 @@ fullness search in :mod:`torsys.classify` twists toric systems instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .surface import DivisorClass, ToricSurface
+from .surface import DivisorClass, ToricSurface, _Record, _set
 from .systems import LineBundleSequence
 
 
@@ -30,18 +28,19 @@ class NotALineBundle(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class TwistByCurve:
+class TwistByCurve(_Record):
     """The numerical shadow of the twist at an invariant (-2)-curve.  By
     adjunction C.K = -2 - C^2 = 0 for a (-2)-ray, so C is a root."""
 
     surface: ToricSurface
     curve_ray: int
 
-    def __post_init__(self):
-        a = self.surface.selfints[self.curve_ray]
+    def __init__(self, surface: ToricSurface, curve_ray: int):
+        a = surface.selfints[curve_ray]
         if a != -2:
-            raise ValueError(f"ray {self.curve_ray} has self-intersection {a}, not -2")
+            raise ValueError(f"ray {curve_ray} has self-intersection {a}, not -2")
+        _set(self, "surface", surface)
+        _set(self, "curve_ray", curve_ray)
 
     @property
     def curve_class(self) -> DivisorClass:

@@ -815,7 +815,7 @@ def test_orbit_report_validates_only_the_reflections(monkeypatch):
     from torsys.isometry import Isometry, reflection, roots
 
     built = []
-    monkeypatch.setattr(Isometry, "__post_init__", lambda self: built.append(self.matrix))
+    monkeypatch.setattr(Isometry, "_check", lambda self: built.append(self.matrix))
     x = rank5.surface()
     rep = orbit_report(x)
     assert rep.total == 120
@@ -824,12 +824,14 @@ def test_orbit_report_validates_only_the_reflections(monkeypatch):
 
 
 _TAMPER_SCRIPT = r"""
-import dataclasses, io, json, sys
+import io, json, sys
 from contextlib import redirect_stdout
 
 import torsys.cli
 from torsys import from_selfints
-from torsys.classify import InvalidWitness, is_constructible
+from torsys.classify import (
+    ConstructibilityWitness, DeaugmentationStep, InvalidWitness, is_constructible,
+)
 from torsys.cli import main
 from torsys.systems import standard_system
 
@@ -841,9 +843,11 @@ witness = is_constructible(std)
 
 # a step that records the wrong surface no longer replays
 step = witness.steps[0]
-forged = dataclasses.replace(step, surface=from_selfints(step.surface.selfints[::-1]))
+forged = DeaugmentationStep(from_selfints(step.surface.selfints[::-1]), step.ray, step.position)
 try:
-    dataclasses.replace(witness, steps=(forged,) + witness.steps[1:]).replay()
+    ConstructibilityWitness(
+        witness.base_system, witness.base_class, (forged,) + witness.steps[1:]
+    ).replay()
     print("replay accepted")
 except InvalidWitness:
     print("replay rejected")
@@ -859,20 +863,20 @@ print("cli exit", code)
 
 # certify-full replays its certificate: the genuine one passes, and forged
 # cases, a forged final sequence and a witness for another system exit 2
-from torsys.classify import TwistApplication, certify_full, orbit_report
+from torsys.classify import FullnessCertificate, TwistApplication, certify_full, orbit_report
 from torsys.systems import to_sequence
 
 seq = to_sequence(orbit_report(x).nonconstructible[0])
 cert = certify_full(seq, max_depth=1)
 (twist,) = cert.twists
-forged_cases = dataclasses.replace(twist, cases=tuple(1 - c for c in twist.cases))
+forged_cases = TwistApplication(twist.curve_ray, tuple(1 - c for c in twist.cases))
 blob = json.dumps({"surface": list(x.selfints),
                    "entries": [list(e.coeffs) for e in seq.entries]})
 for forged in [
     cert,
-    dataclasses.replace(cert, twists=(forged_cases,)),
-    dataclasses.replace(cert, final_sequence=seq),
-    dataclasses.replace(cert, witness=witness),
+    FullnessCertificate(cert.verdict, (forged_cases,), cert.witness, cert.final_sequence, cert.notes),
+    FullnessCertificate(cert.verdict, cert.twists, cert.witness, seq, cert.notes),
+    FullnessCertificate(cert.verdict, cert.twists, witness, cert.final_sequence, cert.notes),
 ]:
     torsys.cli.certify_full = lambda seq, max_depth, forged=forged: forged
     with redirect_stdout(io.StringIO()):

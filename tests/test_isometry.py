@@ -238,14 +238,14 @@ def test_weyl_group_validates_each_reflection_once(monkeypatch, selfints, order,
     from torsys.isometry import Isometry, reflection, roots
 
     built = []
-    validate = Isometry.__post_init__
+    validate = Isometry._check
 
     def counting(self):
         built.append(self.matrix)
         validate(self)
 
     x = from_selfints(selfints)
-    monkeypatch.setattr(Isometry, "__post_init__", counting)
+    monkeypatch.setattr(Isometry, "_check", counting)
     w = weyl_group(x)
     assert len(w) == order
     assert len(built) == len(roots(x)) // 2 == reflections
@@ -387,8 +387,7 @@ def test_packed_closure_equals_the_tuple_keyed_reference(selfints):
 
     x = from_selfints(selfints)
     basis = _intlinalg.identity(x.pic_rank)
-    got = [images for _, images in _reflection_closure(x, basis)]
-    assert got == list(_reference_closure(x, basis))
+    assert list(_reflection_closure(x, basis)) == list(_reference_closure(x, basis))
 
 
 @pytest.mark.parametrize(
@@ -397,9 +396,10 @@ def test_packed_closure_equals_the_tuple_keyed_reference(selfints):
     ids=["rank3", "rank4", "rank5", "rank6", "rank7"],
 )
 def test_packed_pairings_fit_their_proven_slot_width(selfints, order):
-    # every key unpacks to the exact pairings (r_a . w(v))_a, each within the
-    # Cauchy-Schwarz bound; a slot one bit narrower would not hold them
-    from torsys.isometry import _pairing_slots, _reflection_closure
+    # the exact pairings f = (r_a . w(v))_a of every element lie within the
+    # Cauchy-Schwarz bound, and their packed key unpacks to them; a slot one
+    # bit narrower would not hold them
+    from torsys.isometry import _pack, _pairing_slots, _reflection_closure
 
     x = from_selfints(selfints)
     gens, v = _generators(x)
@@ -414,11 +414,12 @@ def test_packed_pairings_fit_their_proven_slot_width(selfints, order):
     assert 1 << (width - 1) <= 2 * bound < 1 << width
     mask = (1 << width) - 1
     count = 0
-    for key, (wv,) in _reflection_closure(x, (v,)):
-        assert key >> (len(gens) * width) == 0
-        f = [((key >> (a * width)) & mask) - bound for a in range(len(gens))]
-        assert f == [sum(map(mul, rg, wv)) for _, rg in gens]
+    for (wv,) in _reflection_closure(x, (v,)):
+        f = [sum(map(mul, rg, wv)) for _, rg in gens]
         assert max(map(abs, f)) <= bound
+        key = _pack(f, bound, width)
+        assert key >> (len(gens) * width) == 0
+        assert [((key >> (a * width)) & mask) - bound for a in range(len(gens))] == f
         count += 1
     assert count == order
 

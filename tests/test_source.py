@@ -238,3 +238,42 @@ def test_one_deaugmentation_body():
         "is_constructible": True,
         "deaugment": True,
     }
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # the value types are plain records, so the cold start of every CLI call
+    # skips dataclasses and the inspect, ast, dis and tokenize it loads; -S
+    # keeps the imports of site's .pth files out of the check
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, torsys.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))",
+        ],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_dataclasses_or_typing_imports_in_src():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _src_nodes()
+        if (
+            isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] in ("dataclasses", "typing") for a in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing"))
+    ]
+    assert found == []
