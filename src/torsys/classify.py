@@ -14,9 +14,14 @@ the answers of the kernel and of the exceptionality test, so a census tests
 and searches each Weyl-orbit system once (twists are root reflections, so
 twisted images stay in the orbit).  Each public call interns its input once,
 through ``_entry_ids``; validation (``_check_axioms``) interns nothing.  The
-kernel returns moves only; :func:`_witness` rebuilds the witness from them
-on the caller's own coefficient tuples, so witnesses and certificates do not
-depend on the tables.  Every de-augmentation runs through one pure body,
+kernel's answers hold its :class:`DeaugmentationStep` records, one object
+per (surface, ray, position) of a table, so the witnesses of a census share
+them: a rank-6 census refers to 5,664 steps and holds 354.
+:func:`_witness` checks every step on the caller's own coefficient tuples,
+carries the de-augmentations out on them, and hands the answer's step tuple
+to the witness, whose base system is the caller's; so a witness reads the
+same whether the kernel computed its steps or recalled them.  Every
+de-augmentation runs through one pure body,
 ``_deaugment_coeffs`` in systems.py.  The twist search of
 :func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
 classes and systems are built only for what a caller receives.
@@ -67,9 +72,7 @@ class DeaugmentationStep(_Record):
     """One reversed augmentation: on ``surface``, the entry at ``position``
     equals the class of the contractible ray ``ray``."""
 
-    surface: ToricSurface
-    ray: int
-    position: int
+    __slots__ = ("surface", "ray", "position")
 
     def __init__(self, surface: ToricSurface, ray: int, position: int):
         _set(self, "surface", surface)
@@ -86,9 +89,7 @@ class ConstructibilityWitness(_Record):
     down to an exceptional Hirzebruch base system.  Replaying the augmentations
     in reverse reproduces the input exactly."""
 
-    base_system: ToricSystem
-    base_class: HirzebruchSystemClass
-    steps: tuple[DeaugmentationStep, ...]
+    __slots__ = ("base_system", "base_class", "steps")
 
     def __init__(
         self,
@@ -114,8 +115,7 @@ class ConstructibilityWitness(_Record):
 class TwistApplication(_Record):
     """A twist at one (-2)-ray together with the per-entry case record."""
 
-    curve_ray: int
-    cases: tuple[int, ...]
+    __slots__ = ("curve_ray", "cases")
 
     def __init__(self, curve_ray: int, cases: tuple[int, ...]):
         _set(self, "curve_ray", curve_ray)
@@ -135,11 +135,7 @@ class FullnessCertificate(_Record):
     with the search limits recorded in ``notes``.
     """
 
-    verdict: str
-    twists: tuple[TwistApplication, ...]
-    witness: ConstructibilityWitness | None
-    final_sequence: LineBundleSequence | None
-    notes: tuple[str, ...]
+    __slots__ = ("verdict", "twists", "witness", "final_sequence", "notes")
 
     def __init__(
         self,
@@ -178,9 +174,12 @@ _UNSEARCHED = object()
 
 def _path(table: _ClassTable, ids: tuple[int, ...]) -> tuple | None:
     """The de-augmentation search on the class ids ``ids`` of the entries of
-    a system on the surface of ``table``: None, or the moves
-    ``((ray, position), ...)`` from the system down to a Hirzebruch surface
-    together with the label of the system reached there.
+    a system on the surface of ``table``: None, or the steps, a tuple of
+    :class:`DeaugmentationStep` from the system down to a Hirzebruch
+    surface, together with the label of the system reached there.  A step
+    is made once per (ray, position) of a table and kept in its ``steps``,
+    so answers that share a step share the object, and an answer's tail is
+    the answer of the system one step down.
 
     Moves are tried depth first, rays ascending, then positions ascending,
     and the first success wins.  Every step is defined on classes: an entry
@@ -243,45 +242,50 @@ def _path(table: _ClassTable, ids: tuple[int, ...]) -> tuple | None:
                 )
             found = _path(sub_table, sub_ids)
             if found is not None:
-                moves, label = found
-                return table.remember(
-                    table.paths, ids, (((ray, position),) + moves, label)
-                )
+                steps, label = found
+                step = table.steps.get((ray, position))
+                if step is None:
+                    step = table.steps[ray, position] = DeaugmentationStep(x, ray, position)
+                return table.remember(table.paths, ids, ((step,) + steps, label))
     return table.remember(table.paths, ids, None)
 
 
 def _witness(x: ToricSurface, coeffs: tuple, found: tuple) -> ConstructibilityWitness:
-    """The kernel's moves ``found`` replayed on the coefficient tuples
-    ``coeffs`` of a system on ``x`` through :func:`_deaugment_coeffs`, the
-    body of the public :func:`deaugment`, which is the exact inverse of the
-    augmentation that :meth:`ConstructibilityWitness.replay` applies.  The
-    base system's classes are built once, at the end.
+    """The witness of the kernel's answer ``found`` for the system on ``x``
+    with entry coefficients ``coeffs``: its steps are replayed on those
+    tuples through :func:`_deaugment_coeffs`, the body of the public
+    :func:`deaugment`, which is the exact inverse of the augmentation that
+    :meth:`ConstructibilityWitness.replay` applies, and the witness holds
+    the answer's own step tuple.  The base system's classes are built once,
+    at the end.
 
-    The moves are a function of the classes of the entries (see
-    :func:`_path`), and each step is carried out on the input's own
+    The steps are a function of the classes of the entries (see
+    :func:`_path`), and each is carried out on the input's own
     coefficients.  So the witness, down to the coefficients of its base
     system, is a function of the input alone, the same whether :func:`_path`
-    computes the moves or recalls them.  It is also the witness of a
+    computes the steps or recalls them.  It is also the witness of a
     depth-first search over ``ToricSystem`` objects with a memo of its own
     call: a success returns straight to the top, so that search never reads
     a memoised witness.  tests/test_classify.py keeps such a search as the
-    reference.  Each move must name a contractible ray whose class is the
-    entry at its position, and each pushed-down entry must be orthogonal to
-    the exceptional class; either miss raises InternalInconsistency.
+    reference.  Each step must lie on the surface the chain has reached and
+    name a contractible ray whose class is the entry at its position, and
+    each pushed-down entry must be orthogonal to the exceptional class; any
+    miss raises InternalInconsistency.
     """
-    moves, label = found
-    steps = []
-    for ray, position in moves:
-        r = x.divisor(ray).reduced()
-        if x.selfints[ray] != -1 or x.reduce_coeffs(coeffs[position]) != r:
+    steps, label = found
+    for step in steps:
+        ray, position = step.ray, step.position
+        if (
+            step.surface.selfints != x.selfints
+            or x.selfints[ray] != -1
+            or x.reduce_coeffs(coeffs[position]) != x.divisor(ray).reduced()
+        ):
             raise InternalInconsistency(
-                f"the search's move ({ray}, {position}) does not reverse an "
-                f"augmentation on {x}"
+                f"the search's step {step!r} does not reverse an augmentation on {x}"
             )
-        steps.append(DeaugmentationStep(x, ray, position))
         x, coeffs = _deaugment_coeffs(x, coeffs, position, ray)
     base = ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
-    return ConstructibilityWitness(base, label, tuple(steps))
+    return ConstructibilityWitness(base, label, steps)
 
 
 def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertificate:
@@ -395,12 +399,14 @@ def _twist(
 class OrbitReport(_Record):
     """Classification of the Weyl orbit of the standard toric system."""
 
-    surface: ToricSurface
-    total: int
-    exceptional_count: int
-    constructible_count: int
-    nonconstructible: tuple[ToricSystem, ...]
-    automorphism_pairing: tuple[tuple[int, int, FanAutomorphism], ...]
+    __slots__ = (
+        "surface",
+        "total",
+        "exceptional_count",
+        "constructible_count",
+        "nonconstructible",
+        "automorphism_pairing",
+    )
 
     def __init__(
         self,

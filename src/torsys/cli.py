@@ -198,7 +198,8 @@ def _cmd_orbit_report(args) -> int:
 def _cmd_reproduce_paper(args) -> int:
     """One-shot rank-5 computation: orbit counts, the printed matrices of the
     non-constructible system, its bundle sequence and its twist image, and
-    depth-1 fullness certificates for both non-constructible sequences."""
+    depth-1 fullness certificates for both non-constructible sequences.  The
+    text is built only for ``--format text``."""
     x = from_selfints(RANK5_SELFINTS)
     report = orbit_report(x)
     ok = (
@@ -207,6 +208,26 @@ def _cmd_reproduce_paper(args) -> int:
         and len(report.nonconstructible) == 2
         and len(report.automorphism_pairing) == 2
     )
+    payload = report_to_json(report)
+    payload["certificates"] = []
+    certified = []
+    for system in report.nonconstructible:
+        seq = to_sequence(system)
+        cert = certify_full(seq, max_depth=1)
+        replay_certificate(seq, cert)
+        ok = ok and cert.verdict == "full" and len(cert.twists) == 1
+        payload["certificates"].append(certificate_to_json(cert))
+        certified.append((system, seq, cert))
+    payload["ok"] = ok
+    text = _reproduce_paper_text(report, certified, ok) if args.format == "text" else ""
+    _print(payload, text, args.format)
+    return 0 if ok else 1
+
+
+def _reproduce_paper_text(report, certified, ok: bool) -> str:
+    """The text of ``reproduce-paper``; ``certified`` holds (system,
+    sequence, certificate) per non-constructible system."""
+    x = report.surface
     basis = [x.divisor(i) for i in (1, 2, 3, 4, 6)]
     labels = ["D2", "D3", "D4", "D5", "D7"]
     lines = [
@@ -216,14 +237,7 @@ def _cmd_reproduce_paper(args) -> int:
         f"constructible: {report.constructible_count}",
         f"non-constructible: {len(report.nonconstructible)}",
     ]
-    payload = report_to_json(report)
-    payload["certificates"] = []
-    for idx, system in enumerate(report.nonconstructible):
-        seq = to_sequence(system)
-        cert = certify_full(seq, max_depth=1)
-        replay_certificate(seq, cert)
-        ok = ok and cert.verdict == "full" and len(cert.twists) == 1
-        payload["certificates"].append(certificate_to_json(cert))
+    for idx, (system, seq, cert) in enumerate(certified):
         lines.append("")
         lines.append(f"non-constructible system #{idx} over basis (D2,D3,D4,D5,D7):")
         lines.append(format_matrix(system.entries, basis, labels))
@@ -238,9 +252,7 @@ def _cmd_reproduce_paper(args) -> int:
             lines.append(format_matrix(cert.final_sequence.entries, basis, labels))
     lines.append("")
     lines.append(f"all checks passed: {ok}")
-    payload["ok"] = ok
-    _print(payload, "\n".join(lines), args.format)
-    return 0 if ok else 1
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------- main

@@ -25,9 +25,7 @@ from .surface import DivisorClass, InternalInconsistency, _Record, _set
 
 
 class CohomologyDims(_Record):
-    h0: int
-    h1: int
-    h2: int
+    __slots__ = ("h0", "h1", "h2")
 
     def __init__(self, h0: int, h1: int, h2: int):
         _set(self, "h0", h0)

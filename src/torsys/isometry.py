@@ -40,7 +40,7 @@ class SizeCapExceeded(RuntimeError):
 class Root(_Record):
     """A (-2)-class orthogonal to K."""
 
-    cls: DivisorClass
+    __slots__ = ("cls",)
 
     def __init__(self, cls: DivisorClass):
         if cls.square() != -2 or cls.k_degree() != 0:
@@ -63,8 +63,7 @@ class Isometry(_Record):
     validated reflections.
     """
 
-    surface: ToricSurface
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("surface", "matrix", "_columns")
 
     def __init__(self, surface: ToricSurface, matrix: tuple[tuple[int, ...], ...]):
         _set(self, "surface", surface)

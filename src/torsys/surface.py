@@ -52,19 +52,23 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Base of the immutable value types.  A record annotates its fields, in
-    order, and its ``__init__`` sets each with ``_set``.  Assigning or
-    deleting an attribute raises AttributeError.  Two records are equal
-    when they are of the same class and their fields are equal, a record
-    hashes its fields, and it prints as ``Name(field=value, ...)``; a
-    subclass may define its own.  Records have no ``__slots__``, so a
-    ``cached_property`` works on them."""
+    """Base of the immutable value types.  A record declares its fields, in
+    order, as its ``__slots__``, followed by the private lazy values it
+    fills on first use (names starting with ``_``); its ``__init__`` sets
+    each field with ``_set``.  No record has an instance dictionary, so
+    assigning an undeclared attribute raises AttributeError, and so does
+    assigning or deleting a field.  Two records are equal when they are of
+    the same class and their fields are equal, a record hashes its fields,
+    and it prints as ``Name(field=value, ...)``; a subclass may define its
+    own.  Pickling and copying rebuild a record through ``_set``, with the
+    private values that are set and without rerunning a validator."""
 
+    __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls):
-        # the names the class itself annotates, in order
-        cls._fields = tuple(cls.__annotations__)
+        # the public names of the class's own slots, in order
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -86,6 +90,24 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        slots = {}
+        for name in self.__slots__:
+            try:
+                slots[name] = getattr(self, name)
+            except AttributeError:  # a lazy value not computed yet
+                pass
+        return _rebuild, (type(self), slots)
+
+
+def _rebuild(cls, slots: dict):
+    """The record of class ``cls`` with the slot values ``slots``, set
+    through ``_set`` and not validated: the inverse of ``__reduce__``."""
+    record = object.__new__(cls)
+    for name, value in slots.items():
+        _set(record, name, value)
+    return record
 
 
 def normalize(selfints) -> tuple[int, ...]:
@@ -444,26 +466,27 @@ class DivisorClass(_Record):
     Equality and hashing reduce modulo the relation lattice, so different
     coefficient vectors of the same class compare equal.  Arithmetic keeps the
     stored representative; intersection numbers are representative-invariant.
-    The reduced representative is computed once per object, on first use.
+    The reduced representative is computed once per object, on first use,
+    and kept in the slot ``_reduced``.
     """
 
-    surface: ToricSurface
-    coeffs: tuple[int, ...]
+    __slots__ = ("surface", "coeffs", "_reduced")
 
     def __init__(self, surface: ToricSurface, coeffs: tuple[int, ...]):
         _set(self, "surface", surface)
         _set(self, "coeffs", coeffs)
 
-    @functools.cached_property
-    def _reduced(self) -> tuple[int, ...]:
-        return self.surface.reduce_coeffs(self.coeffs)
-
     def reduced(self) -> tuple[int, ...]:
-        return self._reduced
+        try:
+            return self._reduced
+        except AttributeError:
+            reduced = self.surface.reduce_coeffs(self.coeffs)
+            _set(self, "_reduced", reduced)
+            return reduced
 
     def coords(self) -> tuple[int, ...]:
         """Coordinates in the Z-basis ([D_3], ..., [D_n]) of Pic."""
-        return self._reduced[2:]
+        return self.reduced()[2:]
 
     def dot(self, other: "DivisorClass") -> int:
         """Intersection number; bilinear in D_i . D_j = a_i, 1, 0."""
@@ -521,9 +544,7 @@ class BlowupRelation(_Record):
     inverts it on that complement.
     """
 
-    below: ToricSurface
-    above: ToricSurface
-    ray_index: int
+    __slots__ = ("below", "above", "ray_index", "_unit_relation")
 
     def __init__(self, below: ToricSurface, above: ToricSurface, ray_index: int):
         _set(self, "below", below)
@@ -568,20 +589,26 @@ class BlowupRelation(_Record):
         e = self.ray_index
         c = c[:e] + c[e + 1 :]
         if t:
-            c = tuple(map(sub, c, map(t.__mul__, self._unit_relation)))
+            c = tuple(map(sub, c, map(t.__mul__, self._unit())))
         return c
 
-    @functools.cached_property
-    def _unit_relation(self) -> tuple[int, ...]:
+    def _unit(self) -> tuple[int, ...]:
         """The relation vector of some m with <m, v_e> = 1, from the xgcd of
-        the exceptional ray, with coordinate e deleted."""
+        the exceptional ray, with coordinate e deleted; computed once and
+        kept in the slot ``_unit_relation``."""
+        try:
+            return self._unit_relation
+        except AttributeError:
+            pass
         e = self.ray_index
         vx, vy = self.above.rays[e]
         _, p, q = _xgcd(vx, vy)
         rel = self.above.relation_vector((p, q))
         if rel[e] != 1:
             raise InternalInconsistency(f"ray ({vx}, {vy}) is not primitive")
-        return rel[:e] + rel[e + 1 :]
+        unit = rel[:e] + rel[e + 1 :]
+        _set(self, "_unit_relation", unit)
+        return unit
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -600,10 +627,7 @@ class GoodBasis(_Record):
     obtained by pulling back the standard basis of an odd Hirzebruch surface
     along a blow-down path and appending the exceptional classes."""
 
-    surface: ToricSurface
-    elements: tuple[DivisorClass, ...]
-    blowdown_path: tuple[int, ...]
-    terminal: ToricSurface
+    __slots__ = ("surface", "elements", "blowdown_path", "terminal")
 
     def __init__(
         self,
@@ -636,9 +660,7 @@ class FanAutomorphism(_Record):
     """A lattice automorphism of the fan: a GL_2(Z) map together with the
     induced ray permutation (lattice_map sends v_i to v_{perm[i]})."""
 
-    surface: ToricSurface
-    lattice_map: tuple[Vec2, Vec2]
-    ray_permutation: tuple[int, ...]
+    __slots__ = ("surface", "lattice_map", "ray_permutation")
 
     def __init__(
         self,

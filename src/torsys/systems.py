@@ -61,8 +61,7 @@ class ToricSystem(_Record):
     automorphism images, de-augmentations, twists) are built unchecked with
     ``ToricSystem(surface, entries)``; each builder states its reason."""
 
-    surface: ToricSurface
-    entries: tuple[DivisorClass, ...]
+    __slots__ = ("surface", "entries")
 
     def __init__(self, surface: ToricSurface, entries: tuple[DivisorClass, ...]):
         _set(self, "surface", surface)
@@ -116,8 +115,7 @@ class LineBundleSequence(_Record):
     """A length-n sequence of line-bundle classes (n = rank of K_0), normalized
     so the first entry is the trivial bundle."""
 
-    surface: ToricSurface
-    entries: tuple[DivisorClass, ...]
+    __slots__ = ("surface", "entries")
 
     def __init__(self, surface: ToricSurface, entries: tuple[DivisorClass, ...]):
         _set(self, "surface", surface)
@@ -355,7 +353,10 @@ class _ClassTable:
     ``contractible``) live here too, each with its hits and misses.  Only
     :func:`_entry_ids` enters the tables at top level; validation interns
     nothing.  Every stored entry counts toward ``CLASS_TABLE_CAP``, and
-    :func:`_clear_class_tables` drops them all with the ids they key on."""
+    :func:`_clear_class_tables` drops them all with the ids they key on.
+    The search's answers share their ``DeaugmentationStep`` records through
+    ``steps``, one per (ray, position); at most n^2 per table, they count
+    toward no cap and go with the table."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -367,6 +368,7 @@ class _ClassTable:
         self.sums: list[dict[int, int]] = []
         self.exceptional: dict[tuple[int, ...], bool] = {}
         self.paths: dict[tuple[int, ...], tuple | None] = {}
+        self.steps: dict[tuple[int, int], object] = {}
         self.exceptional_hits = self.exceptional_misses = 0
         self.paths_hits = self.paths_misses = 0
 
@@ -523,9 +525,7 @@ class HirzebruchSystemClass(_Record):
     (S, P + iS, S, P - iS).  P is a fibre class (P^2 = 0, P.Q = 1, Q^2 = r).
     """
 
-    kind: str
-    r: int
-    i: int
+    __slots__ = ("kind", "r", "i")
 
     def __init__(self, kind: str, r: int, i: int):
         _set(self, "kind", kind)

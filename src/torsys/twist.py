@@ -32,8 +32,7 @@ class TwistByCurve(_Record):
     """The numerical shadow of the twist at an invariant (-2)-curve.  By
     adjunction C.K = -2 - C^2 = 0 for a (-2)-ray, so C is a root."""
 
-    surface: ToricSurface
-    curve_ray: int
+    __slots__ = ("surface", "curve_ray")
 
     def __init__(self, surface: ToricSurface, curve_ray: int):
         a = surface.selfints[curve_ray]

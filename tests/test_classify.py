@@ -221,18 +221,19 @@ def test_rank6_certificates_are_pinned():
 RANK6_WITNESSES_DIGEST = "a55c2252adab6fd10844da86a8ad8c1a3a4ed8da78eff487e4908c93c978aca5"
 
 
-def _rank6_witnesses_digest():
+def _rank6_witnesses_digest(witnesses=None):
     import hashlib
     import json
 
     from torsys.schema import witness_to_json
 
-    x = from_selfints(RANK6)
-    witnesses = [
-        is_constructible(s)
-        for s in orbit(standard_system(x), weyl_group(x))
-        if is_exceptional(s)
-    ]
+    if witnesses is None:
+        x = from_selfints(RANK6)
+        witnesses = [
+            is_constructible(s)
+            for s in orbit(standard_system(x), weyl_group(x))
+            if is_exceptional(s)
+        ]
     assert len(witnesses) == 1416
     blob = json.dumps(
         [None if w is None else witness_to_json(w) for w in witnesses], sort_keys=True
@@ -285,6 +286,37 @@ def test_rank6_certificates_and_witnesses_from_cold_caches():
     assert len(certs) == 536
     blob = json.dumps([certificate_to_json(c) for c in certs], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANK6_CERTIFICATES_DIGEST
+
+
+def test_rank6_census_witnesses_share_their_steps():
+    # the search's memo answers hold DeaugmentationStep records, one per
+    # (surface, ray, position) and class table, and every witness carries
+    # the step tuple of its answer: the 880 witnesses and 536 certificates
+    # of a census refer to 5,664 steps, and 354 step objects exist
+    from torsys.systems import _clear_class_tables
+
+    _clear_class_tables()
+    x = from_selfints(RANK6)
+    exceptional = [s for s in orbit(standard_system(x), weyl_group(x)) if is_exceptional(s)]
+    witnesses = [is_constructible(s) for s in exceptional]
+    certs = [
+        certify_full(to_sequence(s), max_depth=3)
+        for s, w in zip(exceptional, witnesses)
+        if w is None
+    ]
+    assert len(certs) == 536
+    steps = [
+        step
+        for w in witnesses + [c.witness for c in certs]
+        if w is not None
+        for step in w.steps
+    ]
+    values = {(step.surface.selfints, step.ray, step.position) for step in steps}
+    assert len(steps) == 5664
+    # as many objects as values: one object per value
+    assert len({id(step) for step in steps}) == len(values) == 354
+    assert _rank6_witnesses_digest(witnesses) == RANK6_WITNESSES_DIGEST
+    _clear_class_tables()
 
 
 def test_census_tests_each_system_for_exceptionality_once():
@@ -645,7 +677,7 @@ _REBUILD_CHECKS_SCRIPT = r"""
 import sys
 
 from torsys import from_selfints
-from torsys.classify import _path, _witness, is_constructible
+from torsys.classify import DeaugmentationStep, _path, _witness, is_constructible
 from torsys.surface import InternalInconsistency
 from torsys.systems import _system_ids, standard_system
 
@@ -654,35 +686,44 @@ if not sys.flags.optimize:
 x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
 std = standard_system(x)
 coeffs = tuple(a.coeffs for a in std.entries)
-moves, label = _path(*_system_ids(std))
-ray, position = moves[0]
+steps, label = _path(*_system_ids(std))
+first = steps[0]
 print("genuine", len(is_constructible(std).steps))
 
-# the first move points at the entry after the ray's class
-shifted = (((ray, (position + 1) % x.n),) + moves[1:], label)
-try:
-    _witness(x, coeffs, shifted)
-    print("accepted")
-except InternalInconsistency as exc:
-    print("position check fired:", "does not reverse an augmentation" in str(exc))
+def rebuild(forged, coeffs=coeffs):
+    try:
+        _witness(x, coeffs, (forged, label))
+        return "accepted"
+    except InternalInconsistency as exc:
+        return str(exc)
+
+# the first step points at the entry after the ray's class
+shifted = DeaugmentationStep(x, first.ray, (first.position + 1) % x.n)
+message = rebuild((shifted,) + steps[1:])
+print("position check fired:", "does not reverse an augmentation" in message)
+
+# the first step is right but for its surface, a rotation of x's
+rotated = from_selfints(x.selfints[1:] + x.selfints[:1])
+elsewhere = DeaugmentationStep(rotated, first.ray, first.position)
+message = rebuild((elsewhere,) + steps[1:])
+print("surface check fired:", "does not reverse an augmentation" in message)
 
 # D_{ray+2} + D_ray meets D_ray in -1; such entries are no toric system, so
-# only moves from a broken search could bring the rebuild to them
+# only steps from a broken search could bring the rebuild to them
+ray = first.ray
 far = (ray + 2) % x.n
 bad = list(coeffs)
 bad[far] = tuple(a + b for a, b in zip(coeffs[far], x.divisor(ray).coeffs))
-try:
-    _witness(x, tuple(bad), (((ray, ray),), label))
-    print("accepted")
-except InternalInconsistency as exc:
-    print("orthogonality check fired:", "orthogonal complement" in str(exc))
+message = rebuild((DeaugmentationStep(x, ray, ray),), tuple(bad))
+print("orthogonality check fired:", "orthogonal complement" in message)
 """
 
 
 def test_witness_rebuild_checks_fire_under_optimize():
-    # _witness rebuilds a witness from the kernel's moves on coefficient
-    # tuples; a move whose position does not hold the ray's class, and an
-    # entry that meets the exceptional class, are bugs and raise under -O
+    # _witness hands the kernel's steps to the witness after checking each
+    # on coefficient tuples; a step whose position does not hold the ray's
+    # class, a step on another surface than the chain's, and an entry that
+    # meets the exceptional class are bugs and raise under -O
     import os
     import pathlib
     import subprocess
@@ -702,6 +743,7 @@ def test_witness_rebuild_checks_fire_under_optimize():
     assert proc.stdout.splitlines() == [
         "genuine 3",
         "position check fired: True",
+        "surface check fired: True",
         "orthogonality check fired: True",
     ]
 

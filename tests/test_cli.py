@@ -180,6 +180,22 @@ def test_reproduce_paper_matches_golden_file(capsys):
     assert out == golden.read_text()
 
 
+def test_reproduce_paper_json_formats_no_matrix(capsys, monkeypatch):
+    # the text, with its printed matrices, is built for --format text only
+    import pathlib
+
+    import torsys.cli
+
+    def refuse(*args):
+        raise AssertionError("format_matrix called under --format json")
+
+    monkeypatch.setattr(torsys.cli, "format_matrix", refuse)
+    golden = pathlib.Path(__file__).parent / "data" / "rank5_report.json"
+    code, out = run(capsys, "--format", "json", "reproduce-paper")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_json_round_trip_schemas(capsys):
     # system JSON emitted by orbit-report feeds back into check-exceptional
     code, data = run_json(capsys, "orbit-report", "--surface", json.dumps(list(rank5.SELFINTS)))

@@ -1,9 +1,12 @@
 """The value types are plain immutable records: fields cannot be set or
 deleted, equal fields make equal records, and they print as
-``Name(field=value, ...)``."""
+``Name(field=value, ...)``.  They have slots and no instance dictionary,
+and pickling and copying round-trip them."""
 
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -23,7 +26,7 @@ from torsys.classify import (
 )
 from torsys.cohomology import CohomologyDims, cohomology_dims
 from torsys.isometry import Isometry, Root, reflection, roots
-from torsys.surface import BlowupRelation, DivisorClass, FanAutomorphism, GoodBasis
+from torsys.surface import BlowupRelation, DivisorClass, FanAutomorphism, GoodBasis, _set
 from torsys.systems import (
     HirzebruchSystemClass,
     LineBundleSequence,
@@ -120,6 +123,49 @@ def test_equal_fields_make_equal_records(records, cls):
     assert copy == r and not copy != r
     assert hash(copy) == hash(r)
     assert r != values and values != r
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_records_have_no_instance_dictionary(records, cls):
+    r = records[cls]
+    assert not hasattr(r, "__dict__")
+    assert cls._fields == FIELDS[cls]
+    assert cls.__slots__[: len(FIELDS[cls])] == FIELDS[cls]
+    # only declared names can be stored, even past the record's __setattr__
+    with pytest.raises(AttributeError):
+        _set(r, "not_a_field", 0)
+
+
+def _slot_values(r):
+    """The slots of ``r`` that hold a value, by name."""
+    return {name: getattr(r, name) for name in r.__slots__ if hasattr(r, name)}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_pickle_and_copy_round_trip(records, cls):
+    r = records[cls]
+    for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+        assert type(clone) is cls and clone is not r
+        assert clone == r and hash(clone) == hash(r)
+        assert repr(clone) == repr(r)
+        # fields and the private values that were set, nothing more
+        assert _slot_values(clone) == _slot_values(r)
+
+
+def test_round_trip_keeps_the_lazy_values_that_are_set():
+    x = rank5.surface()
+    fresh = DivisorClass(x, (1, 1, 0, 0, 0, 0, 0))
+    assert not hasattr(fresh, "_reduced")
+    assert not hasattr(pickle.loads(pickle.dumps(fresh)), "_reduced")
+    reduced = fresh.reduced()
+    assert fresh._reduced is reduced
+    assert pickle.loads(pickle.dumps(fresh))._reduced == reduced
+    w = reflection(roots(x)[0])
+    assert w._columns == tuple(zip(*w.matrix))
+    assert copy.deepcopy(w)._columns == w._columns
+    rel = x.blow_down(1)
+    rel._drop_exceptional(x.divisor(0).coeffs, 1)
+    assert pickle.loads(pickle.dumps(rel))._unit_relation == rel._unit_relation
 
 
 def test_records_differ_in_any_field():

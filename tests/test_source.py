@@ -229,7 +229,7 @@ def test_one_deaugmentation_body():
                 todo.extend(names(name) & set(functions))
         return False
 
-    primitives = {"blow_down", "pushdown", "_drop_exceptional", "_unit_relation"}
+    primitives = {"blow_down", "pushdown", "_drop_exceptional", "_unit", "_unit_relation"}
     assert sorted(f for f in functions if names(f) & primitives) == ["_deaugment_coeffs"]
     assert {
         f: reaches(f, "_deaugment_coeffs") for f in ("_path", "is_constructible", "deaugment")
@@ -277,3 +277,25 @@ def test_no_dataclasses_or_typing_imports_in_src():
         or (isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing"))
     ]
     assert found == []
+
+
+def test_every_record_declares_its_slots():
+    # no record carries an instance dictionary: _Record and each of its
+    # subclasses declare __slots__ in the class body
+    records, missing = [], []
+    for name, node in _src_nodes():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if node.name != "_Record" and "_Record" not in bases:
+            continue
+        records.append(node.name)
+        declared = any(
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for stmt in node.body
+        )
+        if not declared:
+            missing.append(f"{name}:{node.name}")
+    assert len(records) == 17  # the base and the 16 value types
+    assert missing == []
