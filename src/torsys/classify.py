@@ -23,14 +23,17 @@ to the witness, whose base system is the caller's; so a witness reads the
 same whether the kernel computed its steps or recalled them.  Every
 de-augmentation runs through one pure body,
 ``_deaugment_coeffs`` in systems.py.  The twist search of
-:func:`certify_full` runs on coefficient tuples too (:func:`_twist`), and
-classes and systems are built only for what a caller receives.
+:func:`certify_full` runs on class ids too: a twist at a (-2)-curve is a
+root reflection, looked up in the memo the Weyl closure uses
+(``_ClassTable.reflection``), so classes and systems are built only for
+what a caller receives.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import accumulate
+from operator import sub
 
 from .isometry import RankOutOfRange, weyl_orbit
 from .surface import (
@@ -299,15 +302,16 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     ``max_depth`` were left untwisted, or "twist closure exhausted at depth
     d" when no twist gives a new sequence beyond depth d, so the search ends
     there whatever ``max_depth`` is.
-    The search runs on coefficient tuples: the input becomes those of
-    ``from_sequence``, which ``_check_axioms`` validates once before
-    ``_entry_ids`` interns them, so no class or system is built for it.
-    :func:`_twist` twists tuples, and images are told apart by the class ids
-    of their entries, on which both kernels run: an entry the twist leaves
-    keeps its id, and a moved one is reduced and interned.  Only the
-    certified image becomes a ``ToricSystem`` again, converted back by
-    :func:`to_sequence`.  Certificates replay against the bundle-level
-    twist, ``torsys.twist.twist_sequence``.
+    The input becomes the coefficient tuples of ``from_sequence``, which
+    ``_check_axioms`` validates once before ``_entry_ids`` interns them.
+    The search runs on class ids alone: the twist at C = D_ray is the
+    reflection A_i -> A_i + (C.A_i) C at the root C, looked up in
+    ``_ClassTable.reflection``, so the image is a toric system by
+    construction; its cases (0, C.A_1, C.A_1 + C.A_2, ...), the C.E_i of
+    :func:`to_sequence`, must all be 0 or 1.  The certified image's
+    coefficients are rebuilt once, by :func:`_twisted_coeffs`, and must
+    intern to the searched ids; only that image becomes a ``ToricSystem``.
+    Certificates replay against ``torsys.twist.twist_sequence``.
     """
     x, coeffs = _sequence_coeffs(seq)
     _check_axioms(x, coeffs)
@@ -317,7 +321,8 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     found = _path(table, ids)
     if found is not None:
         return FullnessCertificate("full", (), _witness(x, coeffs, found), seq)
-    rays = minus_two_rays(x)
+    # per (-2)-ray: the ray, and the maps id -> C.A and id -> id of A + (C.A) C
+    twists = [(ray, *table.reflection(x.divisor(ray).reduced())) for ray in minus_two_rays(x)]
     notes = (
         f"twist search depth <= {max_depth}",
         "forward twists at torus-invariant (-2)-curves only",
@@ -326,23 +331,19 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
         notes += (
             "constructibility is defined relative to Hirzebruch bases; the 3-ray surface has none",
         )
-    # (coefficients, class ids, twists) per system of the frontier
-    frontier: list[tuple[tuple, tuple, tuple[TwistApplication, ...]]] = [(coeffs, ids, ())]
+    # (class ids, twists) per system of the frontier
+    frontier: list[tuple[tuple, tuple[TwistApplication, ...]]] = [(ids, ())]
     seen = {ids}
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         new_frontier = []
-        for current, current_ids, trail in frontier:
-            for ray in rays:
-                twisted = _twist(x, ray, current)
-                if twisted is None:
+        for current, trail in frontier:
+            for ray, pairing, image in twists:
+                cases = tuple(accumulate(map(pairing.__getitem__, current[:-1]), initial=0))
+                if any(k not in (0, 1) for k in cases):
                     continue
-                image, cases = twisted
-                ids = tuple(
-                    i if b is a else table.intern(x.reduce_coeffs(b))
-                    for i, a, b in zip(current_ids, current, image)
-                )
+                ids = tuple(map(image.__getitem__, current))
                 if ids in seen:
                     continue
                 seen.add(ids)
@@ -353,11 +354,14 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
                 applied = trail + (TwistApplication(ray, cases),)
                 found = _path(table, ids)
                 if found is not None:
-                    final = ToricSystem(x, tuple(DivisorClass(x, c) for c in image))
+                    coeffs = _twisted_coeffs(coeffs, applied)
+                    if tuple(table.ids.get(x.reduce_coeffs(c)) for c in coeffs) != ids:
+                        raise InternalInconsistency("rebuilt twist coefficients miss the searched ids")
+                    final = ToricSystem(x, tuple(DivisorClass(x, c) for c in coeffs))
                     return FullnessCertificate(
-                        "full", applied, _witness(x, image, found), to_sequence(final)
+                        "full", applied, _witness(x, coeffs, found), to_sequence(final)
                     )
-                new_frontier.append((image, ids, applied))
+                new_frontier.append((ids, applied))
         frontier = new_frontier
     if frontier:
         notes += ("depth cap reached",)
@@ -366,34 +370,14 @@ def certify_full(seq: LineBundleSequence, max_depth: int = 3) -> FullnessCertifi
     return FullnessCertificate("unknown", (), None, None, notes)
 
 
-def _twist(
-    x: ToricSurface, ray: int, coeffs: tuple
-) -> tuple[tuple, tuple[int, ...]] | None:
-    """The twist at the (-2)-curve C = D_ray of the system on ``x`` with entry
-    coefficients ``coeffs``, as (image coefficients, cases), or None when it
-    leaves the line bundles.  As C^2 = -2 and C meets only its two
-    neighbours, d_i = C.A_i is c[ray - 1] + c[ray + 1] - 2 c[ray].  The cases
-    (0, d_1, d_1 + d_2, ...) over the first n - 1 entries are the C.E_i of
-    :func:`to_sequence`, all 0 or 1 when admissible.  The image A_i + d_i C
-    adds d_i to coefficient ``ray``, and an entry with d_i = 0 is the same
-    tuple object in the image; it is the reflection at the root C, a
-    K-isometry, so the image is a toric system by construction and nothing
-    checks it.  On the coefficients of a system from :func:`from_sequence`
-    it gives those of ``from_sequence(twist_sequence(...))``: its partial
-    sums are the E_k + (C.E_k) C that ``twist_sequence`` stores, and as
-    C.K = 0 its last entry is -K minus the others, coefficient by
-    coefficient."""
-    n = x.n
-    lo, hi = (ray - 1) % n, (ray + 1) % n
-    dots = [c[lo] + c[hi] - 2 * c[ray] for c in coeffs]
-    cases = tuple(accumulate(dots[:-1], initial=0))
-    if any(k not in (0, 1) for k in cases):
-        return None
-    image = tuple(
-        c if d == 0 else c[:ray] + (c[ray] + d,) + c[ray + 1 :]
-        for c, d in zip(coeffs, dots)
-    )
-    return image, cases
+def _twisted_coeffs(coeffs: tuple, twists) -> tuple:
+    """Entry coefficients ``coeffs`` moved by the :class:`TwistApplication`
+    ``twists`` in order: entry i gains d_i = case_{i+1} - case_i at the ray
+    of C, and d_n = -case_n as C.K = 0, as ``twist_sequence`` moves them."""
+    for t in twists:
+        r, dots = t.curve_ray, map(sub, t.cases[1:] + (0,), t.cases)
+        coeffs = tuple(c[:r] + (c[r] + d,) + c[r + 1 :] for c, d in zip(coeffs, dots))
+    return coeffs
 
 
 class OrbitReport(_Record):

@@ -7,10 +7,10 @@ W(E_{rho-1}) of the root set {D : D^2 = -2, D.K = 0}.  Roots are enumerated
 from the defining equations in a good basis, where K = -3H + R_1 + ... + R_l
 pins the linear constraint 3 d_0 = -sum d_i and the quadric gives
 sum d_i^2 = d_0^2 + 2.  One reflection BFS, keyed by the pairings with the
-roots packed into one int, moves the Pic basis for :func:`weyl_group` and
-the standard system's entries for :func:`weyl_orbit` (no matrix).
-:class:`Isometry` validates a matrix by the pairing formula and keeps its
-columns, from which :func:`orbit` builds images; it reads no class table.
+roots packed into one int, moves the class ids of the Pic basis
+(:func:`weyl_group`) or the standard system (:func:`weyl_orbit`) through
+the class table's reflection memo.  :class:`Isometry` validates a matrix by
+the pairing formula and keeps the columns :func:`orbit` builds images from.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from operator import mul
 
 from . import _intlinalg
 from .surface import DivisorClass, ToricSurface, _Record, _set
-from .systems import ToricSystem, standard_system
+from .systems import ToricSystem, _entry_ids, standard_system
 
 # |W(E7)| is about 2.9 million, so Picard rank 8 is refused up front
 WEYL_MAX_ELEMENTS = ISOMETRY_MAX_NODES = 10**6
@@ -240,14 +240,14 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     F + f_b P_b, where P_b packs (r_a.r_b)_a, and f_b is one shift, mask
     and subtraction.  Only a new element gets the images of ``start``.
 
-    The BFS carries those images as tuples of ids of the distinct vectors
-    met, and each distinct reflection keeps a permutation table, vector id
-    -> id of its image, filled on first use and local to the call.  The
-    tables change no key and no order: which products are new, and in what
-    order, depends on the keys alone, and a table entry is the image the
-    reflection formula gives.  Products are met in the same order as under
-    deduplication on whole matrices, so the element order is that of the
-    plain matrix closure.
+    The BFS carries those images as class ids of the surface's class table,
+    entered once through ``_entry_ids`` and read to the end even if the
+    tables are dropped meanwhile; it moves them through the table's memo
+    ``_ClassTable.reflection`` and yields one shared coordinate tuple per
+    class.  The memo changes no key and no order: which products are new,
+    and in what order, depends on the keys alone.  Products are met in the
+    same order as under deduplication on whole matrices, so the element
+    order is that of the plain matrix closure.
     """
     if not 3 <= x.pic_rank <= 9:
         raise RankOutOfRange(f"Weyl groups require 3 <= rho <= 9, got {x.pic_rank}")
@@ -268,48 +268,31 @@ def _reflection_closure(x: ToricSurface, start: tuple[tuple[int, ...], ...]):
     v = _regular_vector(rgs)
     bound, width = _pairing_slots(x, v)
     mask = (1 << width) - 1
-    # (shift of slot b, P_b, permutation table, r_b, G r_b) per distinct
-    # reflection; a table maps a vector id to the id of its image
+    # vectors and roots as reduced coefficients (0, 0) + coords; per distinct
+    # reflection, the shift of slot b, P_b and the map id -> id of the image
+    table, ids = _entry_ids(x, [(0, 0) + u for u in start])
+    moves = [table.reflection((0, 0) + rb)[1].__getitem__ for rb in rcs]
     steps = [
-        (b * width, _pack([sum(map(mul, ra, rb)) for ra in rgs], 0, width), {}, rb, gb)
-        for b, (rb, gb) in enumerate(zip(rcs, rgs))
+        (b * width, _pack([sum(map(mul, ra, rb)) for ra in rgs], 0, width), move)
+        for b, (rb, move) in enumerate(zip(rcs, moves))
     ]
     key = _pack([sum(map(mul, rg, v)) for rg in rgs], bound, width)
     seen = {key}
-    vectors: list[tuple[int, ...]] = []  # id -> vector
-    ids: dict[tuple[int, ...], int] = {}
-
-    def intern(u):
-        i = ids.get(u)
-        if i is None:
-            i = ids[u] = len(vectors)
-            vectors.append(u)
-        return i
-
-    def reflect(perm, rc, rg, i):
-        # fill the entry of vector i in the permutation table of one reflection
-        u = vectors[i]
-        pair = sum(map(mul, rg, u))
-        j = perm[i] = intern(tuple(a + pair * b for a, b in zip(u, rc)))
-        return j
-
-    vector = vectors.__getitem__
-    frontier = [(key, tuple(map(intern, start)))]
+    coords = functools.cache(lambda i: table.classes[i][2:])  # one tuple per class id
+    frontier = [(key, ids)]
     yield start
     while frontier:
         new = []
         for key, images in frontier:
-            for shift, pack, perm, rc, rg in steps:
+            for shift, pack, move in steps:
                 product = key + (((key >> shift) & mask) - bound) * pack
                 if product in seen:
                     continue
                 seen.add(product)
                 if len(seen) > WEYL_MAX_ELEMENTS:
                     raise SizeCapExceeded(f"group exceeded {WEYL_MAX_ELEMENTS} elements")
-                moved = tuple(
-                    [perm[i] if i in perm else reflect(perm, rc, rg, i) for i in images]
-                )
-                yield tuple(map(vector, moved))
+                moved = tuple(map(move, images))
+                yield tuple(map(coords, moved))
                 new.append((product, moved))
         frontier = new
 

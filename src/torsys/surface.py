@@ -191,11 +191,11 @@ class ToricSurface:
     """A smooth projective toric surface; immutable after construction.
 
     Instances are interned by :func:`from_selfints`, so surfaces with the same
-    self-intersection tuple are the same object.  Equality and hashing use the
-    normalized (rotation/reflection-minimal) sequence: two presentations of the
-    same surface compare equal even though their ray numberings differ.
-    Divisor-class arithmetic, in contrast, always requires the exact same
-    presentation.
+    self-intersection tuple are the same object, also through pickle and
+    copy.  Equality and hashing use the normalized (rotation/reflection-
+    minimal) sequence: two presentations of the same surface compare equal
+    even though their ray numberings differ.  Divisor-class arithmetic, in
+    contrast, always requires the exact same presentation.
     """
 
     def __init__(self, selfints: tuple[int, ...]):
@@ -245,6 +245,9 @@ class ToricSurface:
 
     def __hash__(self) -> int:
         return hash(self.normalized)
+
+    def __reduce__(self):
+        return from_selfints, (self.selfints,)
 
     # divisor classes ------------------------------------------------------
 

@@ -345,18 +345,18 @@ class _ClassTable:
     and the sum of two reduced tuples is reduced again.
 
     Per id the table keeps the bit "the negative does not vanish totally",
-    filled on first use by ``vanishes_totally``; it is the only memo of a
-    cohomology answer, as the cohomology module keeps none.  A sum table
-    maps (id, id) to the id of the sum.  The id-keyed memos of
-    :func:`_is_exceptional_ids` and of the de-augmentation search
-    (``torsys.classify._path``, with its pushdowns per ray in
-    ``contractible``) live here too, each with its hits and misses.  Only
-    :func:`_entry_ids` enters the tables at top level; validation interns
-    nothing.  Every stored entry counts toward ``CLASS_TABLE_CAP``, and
+    filled on first use by ``vanishes_totally``, the only memo of a
+    cohomology answer.  A sum table maps (id, id) to the id of the sum, and
+    :meth:`reflection` keeps the one memo of each root reflection, through
+    which the Weyl closure and the twist search of ``certify_full`` move
+    ids.  The id-keyed memos of :func:`_is_exceptional_ids` and of the
+    de-augmentation search (``torsys.classify._path``, with its pushdowns
+    per ray in ``contractible``) live here too, each with its hits and
+    misses.  Only :func:`_entry_ids` enters the tables at top level, and
+    every stored entry counts toward ``CLASS_TABLE_CAP``;
     :func:`_clear_class_tables` drops them all with the ids they key on.
     The search's answers share their ``DeaugmentationStep`` records through
-    ``steps``, one per (ray, position); at most n^2 per table, they count
-    toward no cap and go with the table."""
+    ``steps``, one per (ray, position), at most n^2 and counted by no cap."""
 
     entries = 0  # over all tables, for CLASS_TABLE_CAP
 
@@ -369,6 +369,7 @@ class _ClassTable:
         self.exceptional: dict[tuple[int, ...], bool] = {}
         self.paths: dict[tuple[int, ...], tuple | None] = {}
         self.steps: dict[tuple[int, int], object] = {}
+        self.reflections: dict[tuple[int, ...], tuple[dict, dict]] = {}
         self.exceptional_hits = self.exceptional_misses = 0
         self.paths_hits = self.paths_misses = 0
 
@@ -396,6 +397,19 @@ class _ClassTable:
             negated = tuple(-c for c in self.classes[i])
             bad = self.bad[i] = not vanishes_totally(DivisorClass(self.surface, negated))
         return bad
+
+    def reflection(self, root: tuple[int, ...]) -> tuple[dict, dict]:
+        """The reflection c -> c + (r.c) r at the root r of reduced
+        coefficients ``root``, as two maps filled on first use: class id ->
+        r.c, and class id -> id of the image, reduced as c and r are."""
+        if root not in self.reflections:
+            classes, form = self.classes, tuple(_divisor_pairings(self.surface.selfints, root))
+            dot = _Filled(lambda i: sum(map(mul, form, classes[i])))
+            images = _Filled(
+                lambda i: self.intern(tuple(a + dot[i] * b for a, b in zip(classes[i], root)))
+            )
+            self.reflections[root] = (dot, images)
+        return self.reflections[root]
 
     def remember(self, memo: dict, key, value):
         """Store ``value`` under ``key`` in one of the id-keyed memos and
@@ -428,6 +442,18 @@ class _ClassTable:
         )
 
 
+class _Filled(dict):
+    """A map of :meth:`_ClassTable.reflection`: ``fill(key)`` fills a miss."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        _ClassTable.entries += 1
+        return value
+
+
 _class_tables: dict[tuple[int, ...], _ClassTable] = {}
 
 
@@ -441,6 +467,8 @@ def _class_table(selfints: tuple[int, ...]) -> _ClassTable:
 
 def _clear_class_tables() -> None:
     """Drop every class table, and with them every id-keyed memo."""
+    for table in _class_tables.values():
+        table.reflections.clear()  # their maps refer back to the table
     _class_tables.clear()
     _ClassTable.entries = 0
 
@@ -463,13 +491,13 @@ def _memo_info(memo: str) -> _MemoInfo:
 def _entry_ids(x: ToricSurface, reduced) -> tuple[_ClassTable, tuple[int, ...]]:
     """The class table of ``x``'s presentation and the ids of the reduced
     coefficient tuples ``reduced``: the one door by which a top-level call,
-    :func:`_system_ids` or ``torsys.classify.certify_full``, enters the
-    tables.  Over CLASS_TABLE_CAP entries it first drops them all, so one
-    call may take them past the cap until the next.  No search comes back
-    here, and ids are only ever read with the table object that issued them,
-    which a search reaches through its caller's table
-    (``_ClassTable.contractible``), so no id an outer frame holds can point
-    into a newer table."""
+    :func:`_system_ids`, ``torsys.classify.certify_full`` or the Weyl
+    closure, enters the tables.  Over CLASS_TABLE_CAP entries it first
+    drops them all, so one call may take them past the cap until the next.
+    No search comes back here, and ids are only ever read with the table
+    object that issued them, which a search reaches through its caller's
+    table (``_ClassTable.contractible``), so no id an outer frame holds can
+    point into a newer table."""
     if _ClassTable.entries > CLASS_TABLE_CAP:
         _clear_class_tables()
     table = _class_table(x.selfints)

@@ -10,11 +10,20 @@ import pytest
 from torsys import _intlinalg, from_selfints
 from torsys.classify import certify_full, is_constructible, orbit_report
 from torsys.cohomology import cohomology_dims, euler_char, oracle_cohomology_dims
-from torsys.isometry import Root, all_k_isometries, orbit, reflection, roots, weyl_group
+from torsys.isometry import (
+    Root,
+    all_k_isometries,
+    orbit,
+    reflection,
+    roots,
+    weyl_group,
+    weyl_orbit,
+)
 from torsys.systems import (
     ToricSystem,
     associated_surface,
     augment,
+    classify_hirzebruch,
     deaugment,
     from_sequence,
     hirzebruch_system,
@@ -156,6 +165,44 @@ def test_criterion_5_low_rank_constructibility():
         assert rep.nonconstructible == (), s.selfints
     assert time.time() - started < 120
     _report(5, started, f"all exceptional orbit systems constructible on {len(pool)} surfaces")
+
+
+def _first_chain_reaches_a_base(system) -> bool:
+    """Take the first available de-augmentation, rays ascending, then
+    positions, at every level: does the chain end on an exceptional
+    Hirzebruch system?"""
+    while system.surface.n > 4:
+        x = system.surface
+        moves = (
+            (position, ray)
+            for ray in x.contractible_rays()
+            for position, entry in enumerate(system.entries)
+            if entry == x.divisor(ray)
+        )
+        move = next(moves, None)
+        if move is None:
+            return False
+        system, _ = deaugment(system, *move)
+    return classify_hirzebruch(system).is_exceptional_class()
+
+
+def test_first_deaugmentation_reaches_a_base_exactly_when_the_search_does():
+    # an observed property, which the search does not use: on every
+    # exceptional orbit system of the blow-ups of F_0..F_3 with 5-7 rays,
+    # the first available de-augmentation at every level reaches a
+    # Hirzebruch base exactly when is_constructible's full search finds a
+    # chain.  Moves at disjoint (-1)-rays commute; for adjacent (-1)-rays
+    # it is unproven, so the search keeps backtracking
+    pool = [s for s in _enumerate_blowups(7) if s.n >= 5]
+    systems = nonconstructible = 0
+    for x in pool:
+        for s in weyl_orbit(x):
+            if is_exceptional(s):
+                constructible = is_constructible(s) is not None
+                assert _first_chain_reaches_a_base(s) == constructible, s
+                systems += 1
+                nonconstructible += not constructible
+    assert (len(pool), systems, nonconstructible) == (43, 477, 16)
 
 
 def test_criterion_6_cohomology_oracle_equivalence():

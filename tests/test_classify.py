@@ -150,9 +150,14 @@ def test_certify_full_stops_on_exhausted_twist_closure():
     "selfints", [rank5.SELFINTS, (-2, -1, -2, -1, -2, -1, -2, -1)], ids=["rank5", "rank6"]
 )
 def test_system_twist_matches_twist_sequence(selfints):
-    # certify_full twists toric systems; twist_sequence / twist_cases are the
-    # bundle-level definition, and both must give the same certificates
-    from torsys.classify import _twist
+    # certify_full twists class ids through the class table's reflection
+    # memo and rebuilds the certified image's coefficients from the cases;
+    # twist_sequence / twist_cases are the bundle-level definition, and both
+    # must give the same certificates
+    from itertools import accumulate
+
+    from torsys.classify import TwistApplication, _twisted_coeffs
+    from torsys.systems import _entry_ids
     from torsys.twist import (
         NotALineBundle,
         TwistByCurve,
@@ -171,21 +176,27 @@ def test_system_twist_matches_twist_sequence(selfints):
         seq = to_sequence(s)
         system = from_sequence(seq)
         coeffs = tuple(a.coeffs for a in system.entries)
+        table, ids = _entry_ids(x, (a.reduced() for a in system.entries))
         for ray in minus_two_rays(x):
             t = TwistByCurve(x, ray)
-            twisted = _twist(x, ray, coeffs)
+            pairing, image = table.reflection(x.divisor(ray).reduced())
+            cases = tuple(accumulate((pairing[i] for i in ids[:-1]), initial=0))
             checked += 1
             try:
                 want = twist_sequence(t, seq)
             except NotALineBundle:
-                assert twisted is None
+                assert not set(cases) <= {0, 1}
                 continue
-            image, cases = twisted
             assert cases == twist_cases(t, seq)
-            got = to_sequence(ToricSystem(x, tuple(x.divisor_class(c) for c in image)))
+            want_coeffs = [a.coeffs for a in from_sequence(want).entries]
+            image_coeffs = _twisted_coeffs(coeffs, (TwistApplication(ray, cases),))
+            assert list(image_coeffs) == want_coeffs
+            assert tuple(image[i] for i in ids) == tuple(
+                table.ids[x.reduce_coeffs(c)] for c in want_coeffs
+            )
+            got = to_sequence(ToricSystem(x, tuple(x.divisor_class(c) for c in image_coeffs)))
             assert got == want
             assert [e.coeffs for e in got.entries] == [e.coeffs for e in want.entries]
-            assert list(image) == [a.coeffs for a in from_sequence(want).entries]
             admissible += 1
     assert (checked, admissible) == {7: (196, 88), 8: (5664, 2688)}[x.n]
 
@@ -408,14 +419,26 @@ def test_census_asks_each_class_once(monkeypatch):
 
 def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
     # a cold rank-6 census fills the class tables with classes, sums, the
-    # exceptionality and search memos and the search's pushdown memos per
-    # ray; every stored entry counts toward CLASS_TABLE_CAP, and dropping
-    # the tables empties them all
+    # exceptionality and search memos, the search's pushdown memos per ray
+    # and the reflection memos of the Weyl closure and the twist search;
+    # every stored entry counts toward CLASS_TABLE_CAP, and dropping the
+    # tables empties them all
+    import gc
+    import weakref
+
     from torsys.systems import _class_tables, _ClassTable, _clear_class_tables, _memo_info
+
+    def reflected():
+        tables = _class_tables.values()
+        return sum(len(a) + len(b) for t in tables for a, b in t.reflections.values())
 
     _clear_class_tables()
     x = from_selfints(RANK6)
-    systems = orbit(standard_system(x), weyl_group(x))
+    group = weyl_group(x)
+    # the closure moved the 56 classes of the Pic basis's orbit through 20
+    # reflections, storing 1,454 pairings and images
+    assert _ClassTable.entries == 56 + reflected() == 56 + 1454
+    systems = orbit(standard_system(x), group)
     exceptional = [s for s in systems if is_exceptional(s)]
     nonconstructible = [s for s in exceptional if is_constructible(s) is None]
     certs = [certify_full(to_sequence(s), max_depth=3) for s in nonconstructible]
@@ -428,11 +451,22 @@ def test_census_pairing_and_pushdown_tables_are_counted_and_dropped():
         + sum(len(pushed) for *_, pushed in t.__dict__.get("contractible", ()))
         for t in _class_tables.values()
     )
-    # 11,051: the Weyl group's validation keeps no pairing table (it held
-    # 1,736 pairings) and interns no columns (56), and certify_full's
-    # validation reads no stored pairing
-    assert _ClassTable.entries == stored == 11051
-    _clear_class_tables()
+    # 11,051 classes, sums and memo entries: the Weyl group's validation
+    # keeps no pairing table (it held 1,736 pairings), and certify_full's
+    # validation reads no stored pairing.  The 56 classes of the basis's
+    # orbit are all census classes too, and the twist search stores 386
+    # more pairings and images
+    assert stored == 11051
+    assert _ClassTable.entries == stored + reflected() == 11051 + 1454 + 386
+    # the reflection maps refer back to their table; dropping the tables
+    # frees them at once, without waiting for the cycle collector
+    tables = [weakref.ref(t) for t in _class_tables.values()]
+    gc.disable()
+    try:
+        _clear_class_tables()
+        assert [t() for t in tables] == [None] * len(tables)
+    finally:
+        gc.enable()
     assert _memo_info("paths") == _memo_info("exceptional") == (0, 0, 0)
     assert _ClassTable.entries == 0
 
@@ -745,6 +779,72 @@ def test_witness_rebuild_checks_fire_under_optimize():
         "position check fired: True",
         "surface check fired: True",
         "orthogonality check fired: True",
+    ]
+
+
+_TWIST_REBUILD_SCRIPT = r"""
+import sys
+from operator import add
+
+import torsys.classify
+from torsys import from_selfints
+from torsys.classify import certify_full, orbit_report
+from torsys.surface import InternalInconsistency
+from torsys.systems import to_sequence
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+x = from_selfints((-2, -1, -1, -1, -1, -2, -1))
+seq = to_sequence(orbit_report(x).nonconstructible[0])
+print("genuine", len(certify_full(seq, max_depth=1).twists))
+real = torsys.classify._twisted_coeffs
+shift = x.relation_vector((1, -2))
+
+
+def shifted(coeffs, twists):
+    # other representatives of the same classes pass the check
+    return tuple(tuple(map(add, c, shift)) for c in real(coeffs, twists))
+
+
+def untwisted(coeffs, twists):
+    # the untwisted coefficients are other classes
+    return coeffs
+
+
+for name, forged in (("shifted", shifted), ("untwisted", untwisted)):
+    torsys.classify._twisted_coeffs = forged
+    try:
+        certify_full(seq, max_depth=1)
+        print(name, "passed")
+    except InternalInconsistency as exc:
+        print(name, "raised:", exc)
+"""
+
+
+def test_twist_rebuild_check_fires_under_optimize():
+    # certify_full rebuilds the certified image's coefficients from the
+    # recorded cases; coefficients that do not intern to the classes the
+    # search met are a bug and raise under -O
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import torsys
+
+    src = str(pathlib.Path(torsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TWIST_REBUILD_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "genuine 1",
+        "shifted passed",
+        "untwisted raised: rebuilt twist coefficients miss the searched ids",
     ]
 
 

@@ -171,6 +171,22 @@ def test_reproduce_paper_deterministic(capsys):
     assert hashlib.sha256(out1.encode()).hexdigest() == digest
 
 
+def test_rank6_orbit_report_pinned(capsys):
+    # the rank-6 orbit report, in both formats, is pinned as the rank-5
+    # reproduce-paper output is: the Weyl closure and the searches behind
+    # it may change, its bytes may not
+    import hashlib
+
+    surface = ("--surface", "[-2,-1,-2,-1,-2,-1,-2,-1]")
+    for fmt, digest in (
+        ("json", "8a6d48de9790fc0820cb04ec3e1f74dba12249a6fd75499ea7ecc8c6e45d22a0"),
+        ("text", "6bf4bb76b7a8612ffd1a67dd75e9d502b62d9f3ecdb1f158505fb01b302f48a8"),
+    ):
+        code, out = run(capsys, "--format", fmt, "orbit-report", *surface)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reproduce_paper_matches_golden_file(capsys):
     import pathlib
 

@@ -71,6 +71,23 @@ def test_roots_rank_out_of_range():
         roots(x)
 
 
+def test_weyl_group_and_orbit_rank_out_of_range():
+    # Picard rank 2 (a Hirzebruch surface) and 10 are refused before the
+    # closure enters a class table
+    from torsys.systems import _class_tables, _clear_class_tables
+
+    x = from_selfints(RANK3)
+    while x.pic_rank < 10:
+        x = x.blow_up(0).above
+    _clear_class_tables()
+    for y, rho in ((from_selfints((2, 0, -2, 0)), 2), (x, 10)):
+        for build in (weyl_group, weyl_orbit):
+            with pytest.raises(RankOutOfRange) as info:
+                build(y)
+            assert str(info.value) == f"Weyl groups require 3 <= rho <= 9, got {rho}"
+    assert _class_tables == {}
+
+
 def test_size_caps(monkeypatch):
     import torsys.isometry
     from torsys.isometry import SizeCapExceeded
@@ -390,6 +407,30 @@ def test_packed_closure_equals_the_tuple_keyed_reference(selfints):
     assert list(_reflection_closure(x, basis)) == list(_reference_closure(x, basis))
 
 
+def test_closure_reads_its_own_table_when_the_tables_are_dropped():
+    # the closure enters the class tables once and reads that table object
+    # to the end: dropping the tables halfway, and a new table for the same
+    # surface with other ids, change none of its images
+    from itertools import islice
+
+    from torsys.isometry import _reflection_closure
+    from torsys.systems import _class_tables, _clear_class_tables
+
+    x = from_selfints(RANK6)
+    basis = _intlinalg.identity(x.pic_rank)
+    want = list(_reference_closure(x, basis))
+    _clear_class_tables()
+    closure = _reflection_closure(x, basis)
+    got = list(islice(closure, 960))
+    first = _class_tables[x.selfints]
+    _clear_class_tables()
+    weyl_orbit(x)
+    assert _class_tables[x.selfints] is not first
+    assert _class_tables[x.selfints].classes[0] != first.classes[0]
+    got.extend(closure)
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "selfints,order",
     [(RANK3, 2), (RANK4, 12), (rank5.SELFINTS, 120), (RANK6, 1920), (RANK7, 51840)],
@@ -557,15 +598,26 @@ def test_isometry_rejects_known_columns_in_the_wrong_order():
     Isometry(x, w.matrix)
 
 
-def test_weyl_group_and_isometry_leave_the_class_tables_empty():
-    # the Weyl layer reads no class table: building the rank-6 group,
-    # validating each of its elements again and the exhaustive search
-    # intern nothing and create no table
+def test_weyl_group_interns_only_the_basis_orbit_and_isometry_nothing():
+    # the Weyl closure moves the Pic basis through the reflection memos of
+    # the surface's class table, so building the rank-6 group interns just
+    # the classes of the basis's orbit and fills no other memo; validating
+    # each element again and the exhaustive search intern nothing and
+    # create no table
     from torsys.systems import _class_tables, _ClassTable, _clear_class_tables
 
     _clear_class_tables()
     x = from_selfints(RANK6)
     group = weyl_group(x)
+    (table,) = _class_tables.values()
+    assert table.surface is x
+    assert set(table.classes) == {(0, 0) + c for g in group for c in g._columns}
+    assert len(table.classes) == 56
+    assert table.exceptional == table.paths == {}
+    assert not any(table.sums) and table.bad == [None] * 56
+    reflected = sum(len(a) + len(b) for a, b in table.reflections.values())
+    assert _ClassTable.entries == 56 + reflected
+    _clear_class_tables()
     for g in group:
         Isometry(x, g.matrix)
     all_k_isometries(rank5.surface())

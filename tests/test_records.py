@@ -168,6 +168,20 @@ def test_round_trip_keeps_the_lazy_values_that_are_set():
     assert pickle.loads(pickle.dumps(rel))._unit_relation == rel._unit_relation
 
 
+def test_surfaces_pickle_by_their_self_intersections():
+    # a surface pickles and copies as from_selfints(selfints): the clone is
+    # the interned surface itself, and its caches do not travel, so the
+    # pickle of a class stays as small after a census filled them
+    x = torsys.from_selfints((-2, -1, -2, -1, -2, -1, -2, -1))
+    for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert clone is x
+    d = DivisorClass(x, (1, 0, 0, 0, 0, 0, 0, 0))
+    assert pickle.loads(pickle.dumps(d)).surface is x
+    before = len(pickle.dumps(d))
+    orbit_report(x)
+    assert len(pickle.dumps(d)) == before < 200
+
+
 def test_records_differ_in_any_field():
     a = HirzebruchSystemClass("A", 1, 0)
     assert a != HirzebruchSystemClass("Atilde", 1, 0)

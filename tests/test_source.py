@@ -84,19 +84,34 @@ def test_classify_imports_only_weyl_orbit_from_isometry():
 
 
 def test_isometry_reads_no_class_table():
-    # weyl_group's products are K-isometries by construction and Isometry
-    # validates by its own formula: isometry.py may not import or name the
-    # class tables of systems.py
+    # Isometry validates by its own formula and weyl_group's products are
+    # K-isometries by construction, so the Isometry class reads no class
+    # table.  The Weyl closure alone enters the tables, through _entry_ids,
+    # and of a table it reads only the reflection memo and the classes; it
+    # keeps no interner or permutation table of its own
+    from torsys.systems import _ClassTable
+
     path = pathlib.Path(torsys.__file__).parent / "isometry.py"
-    named = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            named.update(a.name for a in node.names)
-        elif isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-    assert named & {"_entry_ids", "_class_table", "_class_tables", "_ClassTable"} == set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    doors = {"_entry_ids", "_system_ids", "_class_table", "_class_tables", "_ClassTable"}
+    # what a table holds, but for the fields every record has
+    members = set(vars(_ClassTable((1, 1, 1)))) | set(vars(_ClassTable))
+    members -= {"surface", "entries"}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & doors
+
+    def attributes(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} & members
+
+    nodes = {n.name: n for n in tree.body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    closure = nodes["_reflection_closure"]
+    assert names(nodes["Isometry"]) == attributes(nodes["Isometry"]) == set()
+    assert names(closure) == names(tree) == {"_entry_ids"}
+    assert attributes(closure) == attributes(tree) == {"reflection", "classes"}
+    assert [n.name for n in ast.walk(closure) if isinstance(n, ast.FunctionDef)] == [
+        "_reflection_closure"
+    ]
 
 
 def test_cohomology_oracle_and_fast_path_share_no_code():

@@ -421,6 +421,10 @@ def test_even_terminal_hirzebruch():
         from_selfints((0, 0, 0, 0)).good_basis()
     with pytest.raises(EvenTerminalHirzebruch):
         from_selfints((2, 0, -2, 0)).good_basis()
+    # an explicit empty path on F_2 ends there, on an even terminal surface
+    with pytest.raises(EvenTerminalHirzebruch) as info:
+        from_selfints((2, 0, -2, 0)).good_basis(path=())
+    assert str(info.value) == "terminal surface TV(2, 0, -2, 0) has even degree 2"
     # exhaustive search over small bases of Pic(F_0): the form is even, so no
     # class has square 1 and no diag(1,-1) basis exists
     f0 = from_selfints((0, 0, 0, 0))

@@ -193,6 +193,18 @@ def test_from_sequence_p2():
     assert all(a == line for a in s.entries)
 
 
+def test_from_sequence_and_certify_full_accept_a_plain_list():
+    # a plain list of classes is normalized by LineBundleSequence.of first
+    from torsys.classify import certify_full
+
+    seq = rank5.printed_sequence()
+    entries = [e + rank5.surface().divisor(3) for e in seq.entries]
+    assert from_sequence(entries) == from_sequence(seq) == rank5.printed_system()
+    cert, want = certify_full(entries, max_depth=1), certify_full(seq, max_depth=1)
+    assert cert.verdict == "full"
+    assert cert == want
+
+
 def test_printed_system_matches_its_sequence():
     a = rank5.printed_system()
     assert to_sequence(a) == rank5.printed_sequence()
@@ -572,11 +584,14 @@ def test_exceptionality_table_kernel_equals_the_tuple_reference(selfints):
 _UNCHECKED_IMAGES_SCRIPT = r"""
 import sys
 
+from itertools import accumulate
+
 from torsys import from_selfints
-from torsys.classify import _twist
+from torsys.classify import TwistApplication, _twisted_coeffs
 from torsys.isometry import orbit, weyl_group, weyl_orbit
 from torsys.systems import (
-    BadIntersection, ToricSystem, deaugment, from_sequence, standard_system, to_sequence,
+    BadIntersection, ToricSystem, _entry_ids, deaugment, from_sequence, standard_system,
+    to_sequence,
 )
 from torsys.twist import NotALineBundle, TwistByCurve, minus_two_rays, twist_sequence
 
@@ -593,11 +608,17 @@ for s in orbit(standard_system(x), weyl_group(x))[::48]:
                 sub, _ = deaugment(s, position, ray)
                 ToricSystem.validate(sub.surface, sub.entries)
                 deaugmented += 1
+    table, ids = _entry_ids(x, (a.reduced() for a in s.entries))
     for ray in minus_two_rays(x):
-        twisted_system = _twist(x, ray, tuple(a.coeffs for a in s.entries))
-        if twisted_system is not None:
-            image, _ = twisted_system
-            ToricSystem.validate(x, [x.divisor_class(c) for c in image])
+        # the system twist of certify_full: cases from the reflection memo,
+        # the image's classes from its ids and its coefficients rebuilt
+        pairing, image = table.reflection(x.divisor(ray).reduced())
+        cases = tuple(accumulate((pairing[i] for i in ids[:-1]), initial=0))
+        if set(cases) <= {0, 1}:
+            ToricSystem.validate(x, [x.divisor_class(table.classes[image[i]]) for i in ids])
+            twists = (TwistApplication(ray, cases),)
+            coeffs = _twisted_coeffs(tuple(a.coeffs for a in s.entries), twists)
+            ToricSystem.validate(x, [x.divisor_class(c) for c in coeffs])
             reflected += 1
         try:
             out = twist_sequence(TwistByCurve(x, ray), to_sequence(s))
@@ -623,7 +644,8 @@ except BadIntersection:
 def test_unchecked_images_validate_under_optimize():
     # orbit images (under the matrix group and from weyl_orbit),
     # de-augmentations and twisted systems (the system twists of
-    # certify_full, and twisted sequences) are built without validate;
+    # certify_full, on class ids and as rebuilt coefficients, and twisted
+    # sequences) are built without validate;
     # under python -O a fixed rank-6 sample must still pass it
     import os
     import pathlib
